@@ -11,13 +11,13 @@ can support each other without being derivable from the certain knowledge,
 so every zero-fitness candidate is handed to the fixed-point verifier and
 only a certified candidate ends the search.
 
-The population lives in a binary trie, which deduplicates members.  Each
-generation selects parents from the ranking, breeds offspring from them
-until the trie is full again, and tops up with fresh random chromosomes
-when the survivors cannot produce enough distinct offspring, so the trie's
-collapsing of duplicates is what feeds exploration.  A run that goes
-`restart_after` generations without a certified answer is reseeded from
-scratch, preserving the generation counter.
+The population is a set of distinct chromosomes, evaluated in sorted
+order.  Each generation selects parents from the ranking, breeds offspring
+from them until the set is full again, and tops up with fresh random
+chromosomes when the survivors cannot produce enough distinct offspring,
+so the collapsing of duplicates is what feeds exploration.  A run that
+goes `restart_after` generations without a certified answer is reseeded
+from scratch, preserving the generation counter.
 
 Selection is rank-based but with two twists, both born from how the
 penalty table treats contradictions.  A candidate theory that is
@@ -42,13 +42,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import poptree
 from .formulas import DefaultTheory
-from .poptree import Chromosome, PopulationTree
-from .program import (ClauseProgram, applied_indices, chromosome_from_applied,
-                      gene_pair)
+from .program import (Chromosome, ClauseProgram, applied_indices,
+                      chromosome_from_applied, gene_pair)
 from .prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                      ProofOutcome, refute_clauses)
 from .verifier import ExtensionCertificate, Rejection, verify
@@ -221,44 +219,35 @@ SearchOutcome = Found | Exhausted
 
 
 def initial_population(n_defaults: int, population_size: int,
-                       rng: random.Random) -> PopulationTree:
+                       rng: random.Random) -> set[Chromosome]:
     """Random population of min(population_size, 4**n_defaults) distinct members."""
     width = 2 * n_defaults
     target = min(population_size, 1 << width)
-    tree = poptree.empty_tree(width)
-    count = 0
-    while count < target:
-        chrom = tuple(rng.randrange(2) for _ in range(width))
-        if not poptree.contains(tree, chrom):
-            tree = poptree.insert(tree, chrom)
-            count += 1
-    return tree
+    population: set[Chromosome] = set()
+    while len(population) < target:
+        population.add(tuple(rng.randrange(2) for _ in range(width)))
+    return population
 
 
 def _next_population(selected: list[Chromosome], n_defaults: int, params: GaParams,
-                     rng: random.Random, target: int) -> PopulationTree:
+                     rng: random.Random, target: int) -> set[Chromosome]:
     """Survivors plus bred offspring, topped up with random chromosomes.
 
     Offspring are drawn in rounds of shuffle-and-pair until the population
     is full again; each pair is crossed at a rule boundary with probability
     crossover_rate and each offspring has one random bit flipped with
-    probability mutation_rate.  Duplicates collapse in the trie, and a draw
+    probability mutation_rate.  Duplicates collapse in the set, and a draw
     cap keeps small or converged pools from spinning forever.
     """
     width = 2 * n_defaults
-    tree = poptree.empty_tree(width)
-    count = 0
-    for chrom in selected:
-        if not poptree.contains(tree, chrom):
-            tree = poptree.insert(tree, chrom)
-            count += 1
+    population = set(selected)
     draws = 0
     limit = 8 * max(target, 1)
-    while count < target and draws < limit and len(selected) >= 2:
+    while len(population) < target and draws < limit and len(selected) >= 2:
         pool = list(selected)
         rng.shuffle(pool)
         for k in range(0, len(pool) - 1, 2):
-            if count >= target or draws >= limit:
+            if len(population) >= target or draws >= limit:
                 break
             a, b = pool[k], pool[k + 1]
             if n_defaults >= 2 and rng.random() < params.crossover_rate:
@@ -270,15 +259,11 @@ def _next_population(selected: list[Chromosome], n_defaults: int, params: GaPara
                     bits = list(chrom)
                     bits[rng.randrange(width)] ^= 1
                     chrom = tuple(bits)
-                if count < target and not poptree.contains(tree, chrom):
-                    tree = poptree.insert(tree, chrom)
-                    count += 1
-    while count < target:
-        chrom = tuple(rng.randrange(2) for _ in range(width))
-        if not poptree.contains(tree, chrom):
-            tree = poptree.insert(tree, chrom)
-            count += 1
-    return tree
+                if len(population) < target:
+                    population.add(chrom)
+    while len(population) < target:
+        population.add(tuple(rng.randrange(2) for _ in range(width)))
+    return population
 
 
 def _descend(program: ClauseProgram, start: frozenset[int], table: PenaltyTable,
@@ -380,7 +365,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     n = program.n_defaults
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
     keep = max(1, math.ceil(params.selection_fraction * params.population_size))
-    tree = initial_population(n, params.population_size, rng)
+    population = initial_population(n, params.population_size, rng)
     generations = 0
     restarts = 0
     stalled = 0
@@ -394,7 +379,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     while generations < params.max_generations:
         generations += 1
         reports = [fitness(program, chrom, table, budget, _cache=cache)
-                   for chrom in poptree.members(tree)]
+                   for chrom in sorted(population)]
         reports.sort(key=lambda r: (r.total, r.chromosome))
         # polish the best satisfiable candidate, once per distinct start
         start = None
@@ -433,14 +418,14 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
         if generations >= params.max_generations:
             break
         if stalled >= params.restart_after:
-            tree = initial_population(n, params.population_size, rng)
+            population = initial_population(n, params.population_size, rng)
             restarts += 1
             stalled = 0
             continue
         selected = _select_parents(reports, keep, cache)
         width = 2 * n
         target = min(params.population_size, 1 << width)
-        tree = _next_population(selected, n, params, rng, target)
+        population = _next_population(selected, n, params, rng, target)
 
     assert best is not None
     return Exhausted(best, generations, restarts, rejected, _reason_counts(reasons))

@@ -5,7 +5,7 @@ taken as certain knowledge, D is an ordered list of default rules
 ``prerequisite : justification, ... / consequent``.  Formulas use only
 negation, conjunction and disjunction over lowercase atoms, which keeps
 clause-form conversion purely distributive (no auxiliary atoms are ever
-introduced, so guard-activated clause selection stays exact).
+introduced, so per-rule clause-group selection stays exact).
 
 The concrete syntax accepted by :func:`parse_theory`::
 
@@ -15,7 +15,8 @@ The concrete syntax accepted by :func:`parse_theory`::
     d: go : / use_1_2 && at_2 .          # empty justification list
 
 Atoms match [a-z][a-z0-9_]*, ``!`` binds tighter than ``&&``, which binds
-tighter than ``||``.
+tighter than ``||``.  Negations and parentheses nest at most MAX_NESTING
+deep; deeper input is a ParseError, not a stack overflow.
 """
 
 from __future__ import annotations
@@ -255,6 +256,8 @@ class ParseError(ValueError):
         self.column = column
 
 
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|&&|\|\||[!(),:/.]")
 
 
@@ -277,6 +280,7 @@ class _Tokens:
                 pos = m.end()
             line += 1
         self.i = 0
+        self.depth = 0  # open `!` and `(` around the current position
 
     def peek(self) -> str | None:
         return self.toks[self.i][0] if self.i < len(self.toks) else None
@@ -319,15 +323,19 @@ def _parse_conj(ts: _Tokens) -> Formula:
 
 def _parse_lit(ts: _Tokens) -> Formula:
     tok = ts.peek()
-    if tok == "!":
-        ts.take()
-        return Not(_parse_lit(ts))
-    if tok == "(":
-        ts.take()
-        f = _parse_formula(ts)
-        ts.take(")")
-        return f
     ln, col = ts.pos()
+    if tok in ("!", "("):
+        if ts.depth >= MAX_NESTING:
+            raise ParseError("formula nested deeper than %d levels" % MAX_NESTING, ln, col)
+        ts.take()
+        ts.depth += 1
+        if tok == "!":
+            f = Not(_parse_lit(ts))
+        else:
+            f = _parse_formula(ts)
+            ts.take(")")
+        ts.depth -= 1
+        return f
     if tok is None:
         raise ParseError("unexpected end of input", ln, col)
     if not _ATOM_RE.match(tok):

@@ -1,7 +1,7 @@
-"""Guard-activated clause programs.
+"""Compiled clause programs.
 
-A default theory compiles once into a single clause program in which every
-clause carries a guard saying when it participates:
+A default theory compiles once into clause groups, each saying when its
+clauses participate in a query:
 
 * world clauses are always active;
 * the clause form of consequent i is active exactly when the chromosome
@@ -11,7 +11,7 @@ clause carries a guard saying when it participates:
 * the clause form of justification (i, j) is active only for the query
   "does the candidate theory refute justification (i, j)".
 
-Selecting by guard at query time replaces re-normalizing formulas for every
+Selecting groups at query time replaces re-normalizing formulas for every
 chromosome the search evaluates.
 """
 
@@ -21,25 +21,10 @@ from dataclasses import dataclass
 
 from .formulas import Clause, DefaultTheory, negate_to_cnf, to_cnf
 
-WORLD = "world"
-CONCLUSION = "conclusion"
 PREREQ = "prereq"
 JUSTIF = "justif"
 
-
-@dataclass(frozen=True, slots=True)
-class Guard:
-    """Activation condition of one compiled clause."""
-
-    kind: str  # WORLD | CONCLUSION | PREREQ | JUSTIF
-    i: int = 0  # default index, 1-based (0 for world clauses)
-    j: int = 0  # justification index within default i, 1-based
-
-
-@dataclass(frozen=True, slots=True)
-class GuardedClause:
-    guard: Guard
-    clause: Clause
+Chromosome = tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,77 +45,50 @@ def justif_query(i: int, j: int) -> Query:
 
 
 class ClauseProgram:
-    """Compiled clause program plus per-guard grouping.
+    """Compiled clause groups: world, and per rule conclusion, prereq, justif.
 
     Immutable after compile_theory returns it; the prover attaches a cached
     integer-mask view lazily (idempotent, so safe to share between runs).
     """
 
-    def __init__(self, theory: DefaultTheory, guarded: list[GuardedClause]):
+    def __init__(self, theory: DefaultTheory, world: tuple[Clause, ...],
+                 conclusion: list[tuple[Clause, ...]], prereq: list[tuple[Clause, ...]],
+                 justif: list[list[tuple[Clause, ...]]]):
         self.theory = theory
-        self.guarded = tuple(guarded)
         self.n_defaults = theory.n_defaults
         self.atom_names = tuple(theory.atoms.names)
         self.atom_count = len(self.atom_names)
-        self.world: tuple[Clause, ...] = tuple(
-            g.clause for g in guarded if g.guard.kind == WORLD
-        )
-        self.conclusion: list[tuple[Clause, ...]] = []
-        self.prereq: list[tuple[Clause, ...]] = []
-        self.justif: list[list[tuple[Clause, ...]]] = []
-        for d in theory.defaults:
-            i = d.index
-            self.conclusion.append(tuple(
-                g.clause for g in guarded
-                if g.guard.kind == CONCLUSION and g.guard.i == i
-            ))
-            self.prereq.append(tuple(
-                g.clause for g in guarded
-                if g.guard.kind == PREREQ and g.guard.i == i
-            ))
-            rows = []
-            for j in range(1, len(d.justifications) + 1):
-                rows.append(tuple(
-                    g.clause for g in guarded
-                    if g.guard.kind == JUSTIF and g.guard.i == i and g.guard.j == j
-                ))
-            self.justif.append(rows)
+        self.world = world
+        self.conclusion = conclusion
+        self.prereq = prereq
+        self.justif = justif
         self._masks = None  # filled by the prover on first use
 
     def justification_count(self, i: int) -> int:
         return len(self.justif[i - 1])
 
 
-def _ordered(clauses) -> list[Clause]:
-    return sorted(clauses, key=Clause.sort_key)
+def _ordered(clauses) -> tuple[Clause, ...]:
+    return tuple(sorted(clauses, key=Clause.sort_key))
 
 
 def compile_theory(theory: DefaultTheory) -> ClauseProgram:
-    """Normalize W and every rule part once, tagging each clause with its guard."""
+    """Normalize W and every rule part once, each group in Clause.sort_key order."""
     table = theory.atoms
-    out: list[GuardedClause] = []
-    for f in theory.world:
-        for c in _ordered(to_cnf(f, table)):
-            out.append(GuardedClause(Guard(WORLD), c))
-    for d in theory.defaults:
-        for c in _ordered(to_cnf(d.consequent, table)):
-            out.append(GuardedClause(Guard(CONCLUSION, d.index), c))
-    for d in theory.defaults:
-        for c in _ordered(negate_to_cnf(d.prerequisite, table)):
-            out.append(GuardedClause(Guard(PREREQ, d.index), c))
-    for d in theory.defaults:
-        for j, beta in enumerate(d.justifications, start=1):
-            for c in _ordered(to_cnf(beta, table)):
-                out.append(GuardedClause(Guard(JUSTIF, d.index, j), c))
-    return ClauseProgram(theory, out)
+    world = tuple(c for f in theory.world for c in _ordered(to_cnf(f, table)))
+    conclusion = [_ordered(to_cnf(d.consequent, table)) for d in theory.defaults]
+    prereq = [_ordered(negate_to_cnf(d.prerequisite, table)) for d in theory.defaults]
+    justif = [[_ordered(to_cnf(beta, table)) for beta in d.justifications]
+              for d in theory.defaults]
+    return ClauseProgram(theory, world, conclusion, prereq, justif)
 
 
-def gene_pair(chromosome: tuple[int, ...], i: int) -> tuple[int, int]:
+def gene_pair(chromosome: Chromosome, i: int) -> tuple[int, int]:
     """Gene pair of rule i (1-based): bits 2i-1 and 2i of the chromosome."""
     return chromosome[2 * i - 2], chromosome[2 * i - 1]
 
 
-def applied_indices(chromosome: tuple[int, ...]) -> frozenset[int]:
+def applied_indices(chromosome: Chromosome) -> frozenset[int]:
     """Rule indices the chromosome marks applied, i.e. gene pair (1, 0)."""
     return frozenset(
         i for i in range(1, len(chromosome) // 2 + 1)
@@ -138,7 +96,7 @@ def applied_indices(chromosome: tuple[int, ...]) -> frozenset[int]:
     )
 
 
-def chromosome_from_applied(n_defaults: int, applied) -> tuple[int, ...]:
+def chromosome_from_applied(n_defaults: int, applied) -> Chromosome:
     """Chromosome with gene pair (1,0) on the given indices, (0,0) elsewhere."""
     applied = set(applied)
     stray = [i for i in applied if not 1 <= i <= n_defaults]
@@ -151,7 +109,7 @@ def chromosome_from_applied(n_defaults: int, applied) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def active_clauses(program: ClauseProgram, chromosome: tuple[int, ...], query: Query | None) -> list[Clause]:
+def active_clauses(program: ClauseProgram, chromosome: Chromosome, query: Query | None) -> list[Clause]:
     """Clauses live for this chromosome and query, in program order."""
     if len(chromosome) != 2 * program.n_defaults:
         raise ValueError(
@@ -174,21 +132,3 @@ def active_clauses(program: ClauseProgram, chromosome: tuple[int, ...], query: Q
                 )
             out.extend(rows[query.j - 1])
     return out
-
-
-def dump_program(program: ClauseProgram) -> str:
-    """One line per compiled clause: GUARD | clause, for debugging."""
-    names = list(program.atom_names)
-    lines = []
-    for g in program.guarded:
-        gd = g.guard
-        if gd.kind == WORLD:
-            tag = "W"
-        elif gd.kind == CONCLUSION:
-            tag = "C(%d)" % gd.i
-        elif gd.kind == PREREQ:
-            tag = "P(%d)" % gd.i
-        else:
-            tag = "J(%d,%d)" % (gd.i, gd.j)
-        lines.append("%-8s %s" % (tag, g.clause.render(names)))
-    return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Refutation prover for guarded clause programs.
+"""Refutation prover for compiled clause programs.
 
 Queries are decided by contradiction: the active clauses (certain knowledge,
 applied consequents, and the query's own group) are checked for
@@ -15,7 +15,8 @@ never enter the search: a forward-chaining closure that already fires a
 constraint (proved), a closure that is a model of every active clause
 (not proved), and an over-approximating closure that shows no constraint
 can ever fire (not proved).  They never change a verdict, only the time it
-takes to reach one; `use_shortcuts=False` disables them for cross-checking.
+takes to reach one; `refute_clauses(..., use_shortcuts=False)` skips them for
+cross-checking.
 
 Budgets cap total resolution steps and case splits.  A search cut short
 reports BUDGET_EXHAUSTED rather than guessing.
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 from .formulas import Clause
 from .program import (
-    JUSTIF,
     PREREQ,
     ClauseProgram,
     Query,
@@ -132,7 +132,7 @@ def _disj_heads(disj_groups) -> int:
     return m
 
 
-def _engine(defs, negs, disj, budget: ProofBudget, trace) -> ProofOutcome:
+def _engine(defs, negs, disj, budget: ProofBudget) -> ProofOutcome:
     """Exhaustive backward search with case analysis; the authoritative path."""
     def_by_head: dict[int, list] = {}
     for h, _hb, _bm, bt in defs:
@@ -167,8 +167,6 @@ def _engine(defs, negs, disj, budget: ProofBudget, trace) -> ProofOutcome:
             counters[1] -= 1
             if counters[1] < 0:
                 raise _BudgetHit
-            if trace is not None:
-                trace.append("split clause %d on goal %d" % (idx, goal))
             u2 = usable & ~(1 << idx)
             siblings_ok = True
             for other in ht:
@@ -203,31 +201,21 @@ def _engine(defs, negs, disj, budget: ProofBudget, trace) -> ProofOutcome:
         return ProofOutcome.BUDGET_EXHAUSTED
 
 
-def _decide(defs, negs, disj, budget, use_shortcuts, trace) -> ProofOutcome:
-    if use_shortcuts:
-        m0 = _closure(0, (defs,))
-        if _fired(m0, (negs,)):
-            if trace is not None:
-                trace.append("closed by forward chaining")
-            return ProofOutcome.PROVED
-        if not _violated(m0, (disj,)):
-            if trace is not None:
-                trace.append("closure is a model")
-            return ProofOutcome.NOT_PROVED
-        mplus = _closure(m0 | _disj_heads((disj,)), (defs,))
-        if not _fired(mplus, (negs,)):
-            if trace is not None:
-                trace.append("no constraint reachable")
-            return ProofOutcome.NOT_PROVED
-    return _engine(defs, negs, disj, budget, trace)
-
-
 def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET,
-                   use_shortcuts: bool = True, trace=None) -> ProofOutcome:
+                   use_shortcuts: bool = True) -> ProofOutcome:
     """PROVED iff the clause set is propositionally unsatisfiable."""
     defs, negs, disj = _split_clauses(clauses)
     _ensure_stack()
-    return _decide(defs, negs, disj, budget, use_shortcuts, trace)
+    if use_shortcuts:
+        m0 = _closure(0, (defs,))
+        if _fired(m0, (negs,)):
+            return ProofOutcome.PROVED  # closed by forward chaining
+        if not _violated(m0, (disj,)):
+            return ProofOutcome.NOT_PROVED  # closure is a model
+        mplus = _closure(m0 | _disj_heads((disj,)), (defs,))
+        if not _fired(mplus, (negs,)):
+            return ProofOutcome.NOT_PROVED  # no constraint reachable
+    return _engine(defs, negs, disj, budget)
 
 
 def _ensure_stack():
@@ -260,12 +248,9 @@ class CandidateQuerySession:
     computed once and each query only overlays its own small clause group.
     """
 
-    def __init__(self, program: ClauseProgram, applied, budget: ProofBudget = DEFAULT_BUDGET,
-                 use_shortcuts: bool = True, trace=None):
+    def __init__(self, program: ClauseProgram, applied, budget: ProofBudget = DEFAULT_BUDGET):
         self.program = program
         self.budget = budget
-        self.use_shortcuts = use_shortcuts
-        self.trace = trace
         masks = _program_masks(program)
         if program.atom_count > 24:
             _ensure_stack()
@@ -289,31 +274,24 @@ class CandidateQuerySession:
             qdefs, qnegs, qdisj = masks["prereq"][query.i - 1]
         else:
             qdefs, qnegs, qdisj = masks["justif"][query.i - 1][query.j - 1]
-        if self.use_shortcuts:
-            if qdefs:
-                m0 = _closure(self.m0, (self.defs, qdefs))
-            else:
-                m0 = self.m0
-            if m0 != self.m0:
-                fired = _fired(m0, (self.negs, qnegs))
-            else:
-                fired = self.base_fired or _fired(m0, (qnegs,))
-            if fired:
-                if self.trace is not None:
-                    self.trace.append("closed by forward chaining")
-                return ProofOutcome.PROVED
-            if not _violated(m0, (self.disj, qdisj)):
-                if self.trace is not None:
-                    self.trace.append("closure is a model")
-                return ProofOutcome.NOT_PROVED
-            seed = self.mplus | m0 | _disj_heads((qdisj,))
-            mplus = _closure(seed, (self.defs, qdefs))
-            if not _fired(mplus, (self.negs, qnegs)):
-                if self.trace is not None:
-                    self.trace.append("no constraint reachable")
-                return ProofOutcome.NOT_PROVED
+        if qdefs:
+            m0 = _closure(self.m0, (self.defs, qdefs))
+        else:
+            m0 = self.m0
+        if m0 != self.m0:
+            fired = _fired(m0, (self.negs, qnegs))
+        else:
+            fired = self.base_fired or _fired(m0, (qnegs,))
+        if fired:
+            return ProofOutcome.PROVED  # closed by forward chaining
+        if not _violated(m0, (self.disj, qdisj)):
+            return ProofOutcome.NOT_PROVED  # closure is a model
+        seed = self.mplus | m0 | _disj_heads((qdisj,))
+        mplus = _closure(seed, (self.defs, qdefs))
+        if not _fired(mplus, (self.negs, qnegs)):
+            return ProofOutcome.NOT_PROVED  # no constraint reachable
         return _engine(self.defs + qdefs, self.negs + qnegs,
-                       self.disj + qdisj, self.budget, self.trace)
+                       self.disj + qdisj, self.budget)
 
     def prereq_proved(self, i: int) -> ProofOutcome:
         return self.ask(prereq_query(i))
@@ -323,8 +301,7 @@ class CandidateQuerySession:
 
 
 def refute(program: ClauseProgram, chromosome, query: Query,
-           budget: ProofBudget = DEFAULT_BUDGET, use_shortcuts: bool = True,
-           trace=None) -> ProofOutcome:
+           budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
     """Decide one query against the candidate encoded by the chromosome.
 
     PROVED means the active clause set (see active_clauses) is
@@ -334,22 +311,7 @@ def refute(program: ClauseProgram, chromosome, query: Query,
     # validates chromosome length and query indices the same way the
     # clause-listing interface does
     active_clauses(program, chromosome, query)
-    session = CandidateQuerySession(
-        program, applied_indices(chromosome), budget, use_shortcuts, trace
-    )
-    return session.ask(query)
-
-
-def entails_prereq(program: ClauseProgram, chromosome, i: int,
-                   budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
-    """Does the candidate theory entail prerequisite i?"""
-    return refute(program, chromosome, prereq_query(i), budget)
-
-
-def refutes_justification(program: ClauseProgram, chromosome, i: int, j: int,
-                          budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
-    """Is justification (i, j) inconsistent with the candidate theory?"""
-    return refute(program, chromosome, justif_query(i, j), budget)
+    return CandidateQuerySession(program, applied_indices(chromosome), budget).ask(query)
 
 
 # ---------------------------------------------------------------------------

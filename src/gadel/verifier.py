@@ -14,8 +14,8 @@ Set equality with the staged fixpoint is exact.  The fixpoint equals the
 set of rules applicable with respect to the candidate, so a certified
 applied set is the full generating set of the extension it spans, and two
 different certified sets always span different extensions.  This is why
-`enumerate_extensions` visits each extension exactly once and why its
-closure-equality deduplication never actually fires; it stays as a guard.
+`enumerate_extensions` visits each extension exactly once and needs no
+deduplication.
 """
 
 from __future__ import annotations
@@ -27,13 +27,6 @@ from .program import (ClauseProgram, active_clauses, applied_indices,
                       chromosome_from_applied, compile_theory)
 from .prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                      ProofOutcome, refute_clauses)
-
-
-@dataclass(frozen=True, slots=True)
-class CandidateExtension:
-    """Clause form of the theory a chromosome proposes."""
-    applied: frozenset[int]
-    clauses: frozenset[Clause]
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,12 +46,6 @@ class Rejection:
 
 class _Undecided(Exception):
     pass
-
-
-def candidate_extension(program: ClauseProgram, applied) -> CandidateExtension:
-    applied = frozenset(applied)
-    chrom = chromosome_from_applied(program.n_defaults, applied)
-    return CandidateExtension(applied, frozenset(active_clauses(program, chrom, None)))
 
 
 def _justifications_ok(program: ClauseProgram, session: CandidateQuerySession) -> list[bool]:
@@ -201,33 +188,6 @@ def certificate_json(certificate: ExtensionCertificate) -> dict:
     return doc
 
 
-def _entails_clause(base: list[Clause], clause: Clause, budget: ProofBudget) -> bool:
-    units = [Clause(frozenset(), frozenset((h,))) for h in clause.heads]
-    units += [Clause(frozenset((b,)), frozenset()) for b in clause.body]
-    return refute_clauses(base + units, budget) is ProofOutcome.PROVED
-
-
-def th_equal(program: ClauseProgram, applied_a, applied_b,
-             budget: ProofBudget = DEFAULT_BUDGET) -> bool:
-    """Do two applied sets span the same deductive closure?
-
-    Undecided entailments count as a difference, which errs on the side of
-    keeping both candidates.
-    """
-    applied_a = frozenset(applied_a)
-    applied_b = frozenset(applied_b)
-    if applied_a == applied_b:
-        return True
-    base_a = active_clauses(program, chromosome_from_applied(program.n_defaults, applied_a), None)
-    base_b = active_clauses(program, chromosome_from_applied(program.n_defaults, applied_b), None)
-    for base, other in ((base_a, applied_b - applied_a), (base_b, applied_a - applied_b)):
-        for i in sorted(other):
-            for clause in program.conclusion[i - 1]:
-                if not _entails_clause(base, clause, budget):
-                    return False
-    return True
-
-
 def enumerate_extensions(theory: DefaultTheory,
                          budget: ProofBudget = DEFAULT_BUDGET) -> list[ExtensionCertificate]:
     """Every extension of a small theory, one certificate each.
@@ -243,8 +203,6 @@ def enumerate_extensions(theory: DefaultTheory,
         applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
         got = verify(theory, chromosome_from_applied(n, applied), budget, program=program)
         if isinstance(got, ExtensionCertificate):
-            if any(th_equal(program, got.applied, seen.applied, budget) for seen in found):
-                continue  # provably unreachable, kept as a guard
             found.append(got)
     found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))
     return found

@@ -161,6 +161,21 @@ def test_parse_error_is_a_usage_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_deep_nesting_is_a_usage_error(tmp_path, capsys):
+    # a fresh interpreter, so the recursion limit is Python's default
+    deep = tmp_path / "deep.dl"
+    deep.write_text("w: " + "!" * 3000 + "a.\n")
+    got = subprocess.run([sys.executable, "-m", "gadel.cli", "check",
+                          "--applied", "", str(deep)], capture_output=True, text=True)
+    assert got.returncode == 2
+    assert "Traceback" not in got.stderr
+    assert "nested deeper than" in got.stderr
+    parens = tmp_path / "parens.dl"
+    parens.write_text("w: " + "(" * 3000 + "a" + ")" * 3000 + ".\n")
+    assert main(["check", "--applied", "", str(parens)]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_module_entry_point(nixon_file):
     got = subprocess.run([sys.executable, "-m", "gadel.cli", "check",
                           nixon_file, "--applied", "1"],

@@ -4,12 +4,11 @@ import random
 
 import pytest
 
-from gadel.bench import build_nixon, two_loops_demo
+from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
 from gadel.engine import (Exhausted, Found, GaParams, PenaltyTable,
                           UNIT_PENALTIES, _descend, _select_parents,
                           _VerdictCache, evolve, fitness, initial_population)
 from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
-from gadel.poptree import members
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET
 from gadel.engine import pair_penalty
@@ -158,14 +157,14 @@ def test_ga_params_validation():
 
 
 def test_initial_population_saturates_small_space():
-    tree = initial_population(1, 10, random.Random(0))
-    assert sorted(members(tree)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    population = initial_population(1, 10, random.Random(0))
+    assert sorted(population) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_initial_population_distinct_and_seeded():
-    a = list(members(initial_population(5, 32, random.Random(7))))
-    b = list(members(initial_population(5, 32, random.Random(7))))
-    c = list(members(initial_population(5, 32, random.Random(8))))
+    a = sorted(initial_population(5, 32, random.Random(7)))
+    b = sorted(initial_population(5, 32, random.Random(7)))
+    c = sorted(initial_population(5, 32, random.Random(8)))
     assert len(a) == 32 and len(set(a)) == 32
     assert a == b
     assert a != c
@@ -235,6 +234,33 @@ def test_evolve_nixon_deterministic():
     assert first.chromosome == second.chromosome
     assert first.generations_used == second.generations_used
     assert first.certificate.applied in (frozenset({1}), frozenset({2}))
+
+
+def _applied_pairs(*rules):
+    return tuple(bit for i in range(1, 26) for bit in ((1, 0) if i in rules else (0, 0)))
+
+
+# (generations, restarts, chromosome) of evolve on K5 for seeds 0-4: seeded
+# trajectories are part of the contract, so any change to the RNG draw order,
+# the population's order or the verdicts shows up here
+K5_TRAJECTORIES = [
+    (19, 3, _applied_pairs(1, 6, 12, 13, 20)),
+    (14, 2, _applied_pairs(3, 8, 9, 14, 19)),
+    (7, 1, (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1,
+            0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 1)),
+    (31, 5, _applied_pairs(3, 5, 10, 16, 19)),
+    (22, 3, _applied_pairs(3, 8, 9, 14, 19)),
+]
+
+
+def test_evolve_k5_trajectories_pinned():
+    theory = build_hamiltonian(5, complete_arcs(5))
+    program = compile_theory(theory)
+    for seed, expected in enumerate(K5_TRAJECTORIES):
+        out = evolve(program, theory,
+                     GaParams(population_size=100, restart_after=6, rng_seed=seed))
+        assert isinstance(out, Found)
+        assert (out.generations_used, out.restarts_used, out.chromosome) == expected
 
 
 def test_evolve_finds_two_rule_theory_in_one_generation():

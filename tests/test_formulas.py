@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from gadel.formulas import (And, Atom, AtomTable, Clause, Default, Not, Or,
-                            ParseError, atoms_of, conj, disj, evaluate,
+from gadel.formulas import (MAX_NESTING, And, Atom, AtomTable, Clause, Default,
+                            Not, Or, ParseError, atoms_of, conj, disj, evaluate,
                             format_formula, format_theory, make_theory,
                             negate_to_cnf, parse_theory, tautology, to_cnf)
 
@@ -132,6 +132,22 @@ def test_parse_error_positions():
     with pytest.raises(ParseError) as err:
         parse_theory("w: a")
     assert err.value.line == 1
+
+
+def test_parse_nesting_cap():
+    # MAX_NESTING levels parse; the next opener is a ParseError at its position
+    assert isinstance(parse_theory("w: %sa." % ("!" * MAX_NESTING)).world[0], Not)
+    assert parse_theory("w: %sa%s." % ("(" * MAX_NESTING, ")" * MAX_NESTING)).world == (Atom("a"),)
+    for text in ("w: b.\nw: %sa." % ("!" * 3000),
+                 "w: b.\nw: %sa%s." % ("(" * 3000, ")" * 3000),
+                 "w: b.\nw: %sa%s." % ("!(" * 60, ")" * 60)):
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert "nested deeper than %d" % MAX_NESTING in str(err.value)
+        assert (err.value.line, err.value.column) == (2, 4 + MAX_NESTING)
+    # the cap counts open levels, not the total: siblings each get the full depth
+    side = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert parse_theory("w: %s && %s." % (side, side)).world[0] == And(Atom("a"), Atom("a"))
 
 
 def test_make_theory_collapses_duplicates():

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from gadel.formulas import Atom, Clause, Not, parse_theory
+from gadel.formulas import (Atom, Clause, Not, negate_to_cnf, parse_theory,
+                            to_cnf)
 from gadel.program import (active_clauses, applied_indices,
                            chromosome_from_applied, compile_theory, gene_pair,
                            justif_query, prereq_query)
@@ -92,18 +93,18 @@ def test_justification_free_default():
 
 
 def test_program_decomposition_is_complete():
-    # every compiled clause lands in exactly one guard group
+    # every group holds exactly the clause form of its rule part
     th = parse_theory(
         "w: !p || q.\n"
         "w: p.\n"
         "d: q : r, !s / t && u.\n"
         "d: t : / v || w.\n")
     program = compile_theory(th)
-    total = len(program.world)
-    for i in range(1, program.n_defaults + 1):
-        total += len(program.conclusion[i - 1])
-        total += len(program.prereq[i - 1])
-        for row in program.justif[i - 1]:
-            total += len(row)
-    assert total == len(program.guarded)
+    assert len(program.world) == sum(len(to_cnf(f)) for f in th.world) == 2
+    for d in th.defaults:
+        assert len(program.conclusion[d.index - 1]) == len(to_cnf(d.consequent))
+        assert len(program.prereq[d.index - 1]) == len(negate_to_cnf(d.prerequisite))
+        assert [len(row) for row in program.justif[d.index - 1]] == [
+            len(to_cnf(beta)) for beta in d.justifications]
+    assert [len(g) for g in program.conclusion] == [2, 1]
     assert program.atom_count == len(program.atom_names) == 8

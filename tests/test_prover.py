@@ -7,8 +7,7 @@ import pytest
 from gadel.formulas import Clause, parse_theory
 from gadel.program import compile_theory, justif_query, prereq_query
 from gadel.prover import (CandidateQuerySession, DEFAULT_BUDGET, ProofBudget,
-                          ProofOutcome, entails_prereq, refute_clauses,
-                          refutes_justification, truth_table_unsat)
+                          ProofOutcome, refute, refute_clauses, truth_table_unsat)
 
 
 def cl(heads, body=()):
@@ -128,12 +127,12 @@ def test_prereq_and_justification_queries():
     program = compile_theory(th)
     nothing = (0, 0, 0, 0)
     first = (1, 0, 0, 0)
-    assert entails_prereq(program, nothing, 1) is ProofOutcome.PROVED
-    assert entails_prereq(program, nothing, 2) is ProofOutcome.NOT_PROVED
-    assert entails_prereq(program, first, 2) is ProofOutcome.PROVED
+    assert refute(program, nothing, prereq_query(1)) is ProofOutcome.PROVED
+    assert refute(program, nothing, prereq_query(2)) is ProofOutcome.NOT_PROVED
+    assert refute(program, first, prereq_query(2)) is ProofOutcome.PROVED
     # W ∪ {c} entails a, refuting justification !a of rule 2
-    assert refutes_justification(program, first, 2, 1) is ProofOutcome.PROVED
-    assert refutes_justification(program, nothing, 1, 1) is ProofOutcome.NOT_PROVED
+    assert refute(program, first, justif_query(2, 1)) is ProofOutcome.PROVED
+    assert refute(program, nothing, justif_query(1, 1)) is ProofOutcome.NOT_PROVED
 
 
 def test_session_matches_free_functions():
@@ -145,9 +144,9 @@ def test_session_matches_free_functions():
         session = CandidateQuerySession(program, applied=frozenset(
             i for i in (1, 2) if chromosome[2 * i - 2] == 1 and chromosome[2 * i - 1] == 0))
         for i in (1, 2):
-            assert session.prereq_proved(i) is entails_prereq(program, chromosome, i)
-            assert session.justification_refuted(i, 1) is refutes_justification(
-                program, chromosome, i, 1)
+            assert session.prereq_proved(i) is refute(program, chromosome, prereq_query(i))
+            assert session.justification_refuted(i, 1) is refute(
+                program, chromosome, justif_query(i, 1))
 
 
 def test_truth_table_oracle_basics():

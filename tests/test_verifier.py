@@ -1,15 +1,17 @@
 """Fixed-point certification and exhaustive enumeration."""
 
+import itertools
 import random
 
 import pytest
 
-from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
-from gadel.bench import build_nixon
-from gadel.program import chromosome_from_applied, compile_theory
-from gadel.prover import ProofBudget
+from gadel.formulas import (And, Atom, Not, Or, make_theory, negate_to_cnf,
+                            parse_theory, tautology)
+from gadel.bench import build_hamiltonian, build_nixon, complete_arcs
+from gadel.program import active_clauses, chromosome_from_applied, compile_theory
+from gadel.prover import ProofBudget, oracle_entails
 from gadel.verifier import (ExtensionCertificate, Rejection, certificate_json,
-                            enumerate_extensions, th_equal, verify)
+                            enumerate_extensions, verify)
 
 
 def check(theory, applied):
@@ -138,12 +140,65 @@ def test_verify_validates_chromosome():
         verify(t, (2, 0))
 
 
-def test_th_equal_on_shared_consequent():
+def _same_theory(program, theory, a, b):
+    """Do applied sets a and b span equivalent theories?  Decided by the oracle:
+    each side must entail every consequent the other side adds."""
+    for base_set, other in ((a, b - a), (b, a - b)):
+        chrom = chromosome_from_applied(program.n_defaults, base_set)
+        base = active_clauses(program, chrom, None)
+        for i in sorted(other):
+            goal = negate_to_cnf(theory.defaults[i - 1].consequent, theory.atoms)
+            if not oracle_entails(base + list(goal), program.atom_count):
+                return False
+    return True
+
+
+def _normal_theory(rng):
+    # the criterion-6 shape (consistent literal world, normal rules) over
+    # fewer atoms and more rules, so that rules clash and extensions multiply
+    pool = ["a", "b", "c"][: rng.randint(2, 3)]
+
+    def lit():
+        a = Atom(rng.choice(pool))
+        return Not(a) if rng.random() < 0.4 else a
+
+    def form():
+        r = rng.random()
+        if r < 0.25:
+            return Or(lit(), lit())
+        if r < 0.45:
+            return And(lit(), lit())
+        return lit()
+
+    signs = {}
+    for _ in range(rng.randint(0, 3)):
+        signs.setdefault(rng.choice(pool), rng.random() < 0.5)
+    world = [Atom(k) if v else Not(Atom(k)) for k, v in sorted(signs.items())]
+    defaults = []
+    for _ in range(rng.randint(2, 6)):
+        g = form()
+        defaults.append((tautology() if rng.random() < 0.5 else form(), [g], g))
+    return make_theory(world, defaults)
+
+
+def test_certificates_span_distinct_theories():
+    # enumerate_extensions keeps every certificate because distinct
+    # generating sets never span the same extension
     t = parse_theory("w: a.\nd: a : b / c.\nd: a : d / c.")
     prog = compile_theory(t)
-    assert th_equal(prog, {1}, {2})
-    assert th_equal(prog, {1}, {1, 2})
-    assert not th_equal(prog, {1}, set())
+    assert _same_theory(prog, t, frozenset({1}), frozenset({2}))
+    assert not _same_theory(prog, t, frozenset({1}), frozenset())
+    rng = random.Random(29)
+    theories = [build_nixon(), build_hamiltonian(3, complete_arcs(3))]
+    theories += [_normal_theory(rng) for _ in range(30)]
+    pairs = 0
+    for theory in theories:
+        prog = compile_theory(theory)
+        certs = enumerate_extensions(theory)
+        for x, y in itertools.combinations(certs, 2):
+            pairs += 1
+            assert not _same_theory(prog, theory, x.applied, y.applied)
+    assert pairs >= 5
 
 
 def test_random_normal_theories_have_extensions():
