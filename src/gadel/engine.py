@@ -47,9 +47,8 @@ from dataclasses import dataclass
 from .formulas import DefaultTheory
 from .program import (Chromosome, ClauseProgram, applied_indices,
                       chromosome_from_applied, gene_pair)
-from .prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                     ProofOutcome, refute_clauses)
-from .verifier import ExtensionCertificate, Rejection, verify
+from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
+from .verifier import ExtensionCertificate, Rejection, _StageMemo, verify
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,10 +143,8 @@ class _VerdictCache:
         """Whether the candidate theory is satisfiable; budget hits count as no."""
         got = self.cons.get(applied)
         if got is None:
-            clauses = list(self.program.world)
-            for i in sorted(applied):
-                clauses.extend(self.program.conclusion[i - 1])
-            got = refute_clauses(clauses, self.budget) is ProofOutcome.NOT_PROVED
+            session = CandidateQuerySession(self.program, applied, self.budget)
+            got = session.consistent() is ProofOutcome.NOT_PROVED
             self.cons[applied] = got
         return got
 
@@ -373,6 +370,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     reasons: dict[str, int] = {}
     # verdict of verify() depends only on the applied set, so memoize it
     checked: dict[frozenset[int], ExtensionCertificate | Rejection] = {}
+    stages = _StageMemo(program, budget)
     descended: set[frozenset[int]] = set()
     best: FitnessReport | None = None
 
@@ -407,7 +405,8 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
             key = applied_indices(rep.chromosome)
             outcome = checked.get(key)
             if outcome is None:
-                outcome = verify(theory, rep.chromosome, budget, program=program)
+                outcome = verify(theory, rep.chromosome, budget, program=program,
+                                 _stages=stages)
                 checked[key] = outcome
             if isinstance(outcome, ExtensionCertificate):
                 return Found(rep.chromosome, outcome, generations, restarts,

@@ -16,7 +16,11 @@ The concrete syntax accepted by :func:`parse_theory`::
 
 Atoms match [a-z][a-z0-9_]*, ``!`` binds tighter than ``&&``, which binds
 tighter than ``||``.  Negations and parentheses nest at most MAX_NESTING
-deep; deeper input is a ParseError, not a stack overflow.
+deep, and a parsed formula tree is at most MAX_DEPTH levels deep; deeper
+input is a ParseError, not a stack overflow.  Chains ``a && b && ...``
+parse left-deep, one level per operand, and parentheses let chains stack,
+so the depth cap bounds the operand count of every chain and the whole
+tree that later walks recurse over.
 """
 
 from __future__ import annotations
@@ -257,6 +261,7 @@ class ParseError(ValueError):
 
 
 MAX_NESTING = 100
+MAX_DEPTH = 200
 
 _TOKEN_RE = re.compile(r"[a-z][a-z0-9_]*|&&|\|\||[!(),:/.]")
 
@@ -306,22 +311,39 @@ class _Tokens:
 
 
 def _parse_formula(ts: _Tokens) -> Formula:
-    f = _parse_conj(ts)
+    return _parse_disj(ts)[0]
+
+
+def _parse_disj(ts: _Tokens) -> tuple[Formula, int]:
+    """A left-deep `||` chain, and its tree depth."""
+    f, depth = _parse_conj(ts)
     while ts.peek() == "||":
+        ln, col = ts.pos()
         ts.take()
-        f = Or(f, _parse_conj(ts))
-    return f
+        g, d = _parse_conj(ts)
+        f, depth = Or(f, g), _deeper(max(depth, d), ln, col)
+    return f, depth
 
 
-def _parse_conj(ts: _Tokens) -> Formula:
-    f = _parse_lit(ts)
+def _parse_conj(ts: _Tokens) -> tuple[Formula, int]:
+    """A left-deep `&&` chain, and its tree depth."""
+    f, depth = _parse_lit(ts)
     while ts.peek() == "&&":
+        ln, col = ts.pos()
         ts.take()
-        f = And(f, _parse_lit(ts))
-    return f
+        g, d = _parse_lit(ts)
+        f, depth = And(f, g), _deeper(max(depth, d), ln, col)
+    return f, depth
 
 
-def _parse_lit(ts: _Tokens) -> Formula:
+def _deeper(depth: int, ln: int, col: int) -> int:
+    """The depth of a node over a subtree `depth` deep, at most MAX_DEPTH."""
+    if depth >= MAX_DEPTH:
+        raise ParseError("formula more than %d levels deep" % MAX_DEPTH, ln, col)
+    return depth + 1
+
+
+def _parse_lit(ts: _Tokens) -> tuple[Formula, int]:
     tok = ts.peek()
     ln, col = ts.pos()
     if tok in ("!", "("):
@@ -330,18 +352,19 @@ def _parse_lit(ts: _Tokens) -> Formula:
         ts.take()
         ts.depth += 1
         if tok == "!":
-            f = Not(_parse_lit(ts))
+            f, depth = _parse_lit(ts)
+            f, depth = Not(f), _deeper(depth, ln, col)
         else:
-            f = _parse_formula(ts)
+            f, depth = _parse_disj(ts)
             ts.take(")")
         ts.depth -= 1
-        return f
+        return f, depth
     if tok is None:
         raise ParseError("unexpected end of input", ln, col)
     if not _ATOM_RE.match(tok):
         raise ParseError("expected an atom, found %r" % tok, ln, col)
     ts.take()
-    return Atom(tok)
+    return Atom(tok), 0
 
 
 def parse_theory(text: str) -> DefaultTheory:

@@ -15,8 +15,16 @@ never enter the search: a forward-chaining closure that already fires a
 constraint (proved), a closure that is a model of every active clause
 (not proved), and an over-approximating closure that shows no constraint
 can ever fire (not proved).  They never change a verdict, only the time it
-takes to reach one; `refute_clauses(..., use_shortcuts=False)` skips them for
-cross-checking.
+takes to reach one.
+
+`CandidateQuerySession` is the entry point: it splits the candidate
+theory's compiled clause groups once and answers every question about that
+candidate (prerequisites, justifications, consistency, atom entailment) by
+overlaying at most one small group.  `refute_clauses` decides a raw clause
+list the same way and is the reference path the tests cross-check the
+session against; `use_shortcuts=False` there skips the short-circuits.
+The session's clause lists are in the order `refute_clauses` gives the
+same raw list, so both reach the same verdict with the same budget use.
 
 Budgets cap total resolution steps and case splits.  A search cut short
 reports BUDGET_EXHAUSTED rather than guessing.
@@ -29,16 +37,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 
-from .formulas import Clause
-from .program import (
-    PREREQ,
-    ClauseProgram,
-    Query,
-    active_clauses,
-    applied_indices,
-    justif_query,
-    prereq_query,
-)
+from .program import PREREQ, ClauseProgram, Query, active_clauses, applied_indices
 
 
 class ProofOutcome(enum.Enum):
@@ -134,6 +133,7 @@ def _disj_heads(disj_groups) -> int:
 
 def _engine(defs, negs, disj, budget: ProofBudget) -> ProofOutcome:
     """Exhaustive backward search with case analysis; the authoritative path."""
+    _ensure_stack()
     def_by_head: dict[int, list] = {}
     for h, _hb, _bm, bt in defs:
         def_by_head.setdefault(h, []).append(bt)
@@ -205,7 +205,6 @@ def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET,
                    use_shortcuts: bool = True) -> ProofOutcome:
     """PROVED iff the clause set is propositionally unsatisfiable."""
     defs, negs, disj = _split_clauses(clauses)
-    _ensure_stack()
     if use_shortcuts:
         m0 = _closure(0, (defs,))
         if _fired(m0, (negs,)):
@@ -252,8 +251,6 @@ class CandidateQuerySession:
         self.program = program
         self.budget = budget
         masks = _program_masks(program)
-        if program.atom_count > 24:
-            _ensure_stack()
         defs, negs, disj = [list(g) for g in masks["world"]]
         for i in sorted(applied):
             gd, gn, gj = masks["conclusion"][i - 1]
@@ -268,12 +265,8 @@ class CandidateQuerySession:
         self.mplus = _closure(self.m0 | _disj_heads((disj,)), (defs,))
         self.base_fired = _fired(self.m0, (negs,))
 
-    def ask(self, query: Query) -> ProofOutcome:
-        masks = self._masks
-        if query.kind == PREREQ:
-            qdefs, qnegs, qdisj = masks["prereq"][query.i - 1]
-        else:
-            qdefs, qnegs, qdisj = masks["justif"][query.i - 1][query.j - 1]
+    def _decide(self, qdefs, qnegs, qdisj) -> ProofOutcome:
+        """PROVED iff the candidate's clauses plus the given group are unsatisfiable."""
         if qdefs:
             m0 = _closure(self.m0, (self.defs, qdefs))
         else:
@@ -293,11 +286,24 @@ class CandidateQuerySession:
         return _engine(self.defs + qdefs, self.negs + qnegs,
                        self.disj + qdisj, self.budget)
 
+    def ask(self, query: Query) -> ProofOutcome:
+        if query.kind == PREREQ:
+            return self.prereq_proved(query.i)
+        return self.justification_refuted(query.i, query.j)
+
     def prereq_proved(self, i: int) -> ProofOutcome:
-        return self.ask(prereq_query(i))
+        return self._decide(*self._masks["prereq"][i - 1])
 
     def justification_refuted(self, i: int, j: int) -> ProofOutcome:
-        return self.ask(justif_query(i, j))
+        return self._decide(*self._masks["justif"][i - 1][j - 1])
+
+    def consistent(self) -> ProofOutcome:
+        """NOT_PROVED iff the candidate theory is satisfiable."""
+        return self._decide([], [], [])
+
+    def entails_atom(self, aid: int) -> ProofOutcome:
+        """PROVED iff the candidate theory entails atom `aid`."""
+        return self._decide([], [(1 << aid, (aid,))], [])
 
 
 def refute(program: ClauseProgram, chromosome, query: Query,

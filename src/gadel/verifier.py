@@ -16,17 +16,28 @@ applied set is the full generating set of the extension it spans, and two
 different certified sets always span different extensions.  This is why
 `enumerate_extensions` visits each extension exactly once and needs no
 deduplication.
+
+Each candidate is answered from one prover session: its justifications,
+its consistency and the atoms it entails.  The stages are shared instead.
+Whether rule i's prerequisite follows from stage set S depends only on S
+(and the program and budget), not on the candidate whose fixpoint reached
+S, and the stages of many candidates pass through the same few sets.  So
+`_StageMemo` keeps one session and the prerequisite outcomes asked so far
+per stage set, and the candidates of one enumeration or search share them.
+A shared outcome is the one a fresh session for S would give, budget
+exhaustion included, so sharing changes no certificate or rejection.  The
+memo holds stage sets only, never one entry per candidate, which keeps it
+small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .formulas import Clause, DefaultTheory
-from .program import (ClauseProgram, active_clauses, applied_indices,
-                      chromosome_from_applied, compile_theory)
-from .prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                     ProofOutcome, refute_clauses)
+from .formulas import DefaultTheory
+from .program import (ClauseProgram, applied_indices, chromosome_from_applied,
+                      compile_theory)
+from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,18 +75,45 @@ def _justifications_ok(program: ClauseProgram, session: CandidateQuerySession) -
     return ok
 
 
+class _StageMemo:
+    """Prerequisite outcomes per stage set, shared by the candidates of one
+    program and budget: a session and a lazily filled {rule: outcome} map."""
+
+    def __init__(self, program: ClauseProgram, budget: ProofBudget):
+        self.program = program
+        self.budget = budget
+        self.stages: dict[frozenset[int], tuple[CandidateQuerySession,
+                                                dict[int, ProofOutcome]]] = {}
+
+    def _entry(self, stage: frozenset[int]):
+        entry = self.stages.get(stage)
+        if entry is None:
+            entry = (CandidateQuerySession(self.program, stage, self.budget), {})
+            self.stages[stage] = entry
+        return entry
+
+    def session(self, stage: frozenset[int]) -> CandidateQuerySession:
+        return self._entry(stage)[0]
+
+    def prereq_proved(self, stage: frozenset[int], i: int) -> ProofOutcome:
+        session, outcomes = self._entry(stage)
+        got = outcomes.get(i)
+        if got is None:
+            got = outcomes[i] = session.prereq_proved(i)
+        return got
+
+
 def _staged_fixpoint(program: ClauseProgram, justif_ok: list[bool],
-                     budget: ProofBudget) -> tuple[frozenset[int], ...]:
+                     stages: _StageMemo) -> tuple[frozenset[int], ...]:
     """Admission stages from the empty set up to the fixpoint."""
     stage: frozenset[int] = frozenset()
     trace = [stage]
     while True:
-        session = CandidateQuerySession(program, stage, budget)
         grown = set(stage)
         for i in range(1, program.n_defaults + 1):
             if i in grown or not justif_ok[i - 1]:
                 continue
-            got = session.prereq_proved(i)
+            got = stages.prereq_proved(stage, i)
             if got is ProofOutcome.BUDGET_EXHAUSTED:
                 raise _Undecided("prerequisite of rule %d not decided within budget" % i)
             if got is ProofOutcome.PROVED:
@@ -86,13 +124,13 @@ def _staged_fixpoint(program: ClauseProgram, justif_ok: list[bool],
         trace.append(stage)
 
 
-def _derived_atoms(program: ClauseProgram, base: list[Clause],
-                   budget: ProofBudget) -> tuple[str, ...] | None:
+def _derived_atoms(program: ClauseProgram,
+                   session: CandidateQuerySession) -> tuple[str, ...] | None:
     if program.atom_count > 64:
         return None
     names = []
     for aid in range(program.atom_count):
-        got = refute_clauses(base + [Clause(frozenset(), frozenset((aid,)))], budget)
+        got = session.entails_atom(aid)
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             return None
         if got is ProofOutcome.PROVED:
@@ -106,7 +144,8 @@ def _rules_word(indices) -> str:
 
 
 def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDGET,
-           program: ClauseProgram | None = None) -> ExtensionCertificate | Rejection:
+           program: ClauseProgram | None = None,
+           _stages: _StageMemo | None = None) -> ExtensionCertificate | Rejection:
     """Certify or reject the candidate theory named by a chromosome.
 
     The applied set is accepted exactly when it equals its own staged
@@ -125,22 +164,22 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
     if any(bit not in (0, 1) for bit in chromosome):
         raise ValueError("chromosome bits must be 0 or 1")
+    stages = _stages if _stages is not None else _StageMemo(program, budget)
     applied = applied_indices(chromosome)
     full = CandidateQuerySession(program, applied, budget)
     try:
         justif_ok = _justifications_ok(program, full)
-        trace = _staged_fixpoint(program, justif_ok, budget)
+        trace = _staged_fixpoint(program, justif_ok, stages)
     except _Undecided as stop:
         return Rejection("undecided", str(stop))
     fixpoint = trace[-1]
-    base = active_clauses(program, chromosome, None)
-    sat = refute_clauses(base, budget)
+    sat = full.consistent()
     if sat is ProofOutcome.BUDGET_EXHAUSTED:
         return Rejection("undecided", "consistency of the candidate not decided within budget")
     consistent = sat is ProofOutcome.NOT_PROVED
 
     if fixpoint == applied:
-        atoms = _derived_atoms(program, base, budget)
+        atoms = _derived_atoms(program, full)
         return ExtensionCertificate(applied, trace, True, consistent, atoms)
 
     missing = applied - fixpoint
@@ -148,7 +187,7 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     blocked = sorted(i for i in missing if not justif_ok[i - 1])
     if blocked:
         if not consistent:
-            wsat = refute_clauses(list(program.world), budget)
+            wsat = stages.session(frozenset()).consistent()
             about_w = "; the certain knowledge itself is inconsistent" \
                 if wsat is ProofOutcome.PROVED else ""
             return Rejection("inconsistent",
@@ -198,10 +237,12 @@ def enumerate_extensions(theory: DefaultTheory,
     n = program.n_defaults
     if n > 12:
         raise ValueError("exhaustive enumeration is limited to 12 rules, got %d" % n)
+    stages = _StageMemo(program, budget)
     found: list[ExtensionCertificate] = []
     for mask in range(1 << n):
         applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        got = verify(theory, chromosome_from_applied(n, applied), budget, program=program)
+        got = verify(theory, chromosome_from_applied(n, applied), budget, program=program,
+                     _stages=stages)
         if isinstance(got, ExtensionCertificate):
             found.append(got)
     found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))

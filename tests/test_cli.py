@@ -176,6 +176,17 @@ def test_deep_nesting_is_a_usage_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_long_chain_is_a_usage_error(tmp_path):
+    # a fresh interpreter, so the recursion limit is Python's default
+    flat = tmp_path / "flat.dl"
+    flat.write_text("w: " + " && ".join("a%d" % k for k in range(3000)) + ".\n")
+    got = subprocess.run([sys.executable, "-m", "gadel.cli", "check",
+                          "--applied", "", str(flat)], capture_output=True, text=True)
+    assert got.returncode == 2
+    assert "Traceback" not in got.stderr
+    assert "levels deep (line 1, column" in got.stderr
+
+
 def test_module_entry_point(nixon_file):
     got = subprocess.run([sys.executable, "-m", "gadel.cli", "check",
                           nixon_file, "--applied", "1"],

@@ -10,7 +10,7 @@ from gadel.engine import (Exhausted, Found, GaParams, PenaltyTable,
                           _VerdictCache, evolve, fitness, initial_population)
 from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
 from gadel.program import chromosome_from_applied, compile_theory
-from gadel.prover import DEFAULT_BUDGET
+from gadel.prover import DEFAULT_BUDGET, ProofBudget
 from gadel.engine import pair_penalty
 
 
@@ -121,6 +121,17 @@ def test_fitness_scales_linearly():
     for _ in range(20):
         chrom = tuple(rng.randrange(2) for _ in range(4))
         assert fit(t, chrom, tripled).total == pytest.approx(3 * fit(t, chrom, table).total)
+
+
+def test_fitness_reports_budget_hits():
+    # the prerequisite c follows from W only by a case split on a || b
+    t = parse_theory("w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e.")
+    prog = compile_theory(t)
+    tiny = fitness(prog, (0, 0), budget=ProofBudget(max_depth=1, max_splits=1))
+    assert tiny.budget_hits > 0 and tiny.hit_budget
+    full = fitness(prog, (0, 0))
+    assert full.budget_hits == 0 and not full.hit_budget
+    assert full.total == 1.0  # decided: applicable but unapplied
 
 
 def test_fitness_rejects_wrong_length():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gadel.formulas import (MAX_NESTING, And, Atom, AtomTable, Clause, Default,
+from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Clause, Default,
                             Not, Or, ParseError, atoms_of, conj, disj, evaluate,
                             format_formula, format_theory, make_theory,
                             negate_to_cnf, parse_theory, tautology, to_cnf)
@@ -148,6 +148,33 @@ def test_parse_nesting_cap():
     # the cap counts open levels, not the total: siblings each get the full depth
     side = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
     assert parse_theory("w: %s && %s." % (side, side)).world[0] == And(Atom("a"), Atom("a"))
+
+
+def chain_text(op, n):
+    return (" %s " % op).join("a%d" % k for k in range(n))
+
+
+def test_parse_depth_cap():
+    # a chain of MAX_DEPTH + 1 operands is MAX_DEPTH levels deep and parses
+    for op, node in (("&&", And), ("||", Or)):
+        f = parse_theory("w: %s." % chain_text(op, MAX_DEPTH + 1)).world[0]
+        assert isinstance(f, node) and len(atoms_of(f)) == MAX_DEPTH + 1
+        assert to_cnf(f) and f == parse_theory(format_theory(make_theory([f], []))).world[0]
+    # a longer chain is a ParseError at the operator that adds operand MAX_DEPTH + 2
+    for op in ("&&", "||"):
+        text = "w: b.\nw: %s." % chain_text(op, 3000)
+        with pytest.raises(ParseError) as err:
+            parse_theory(text)
+        assert "more than %d levels deep" % MAX_DEPTH in str(err.value)
+        column = 4 + len(chain_text(op, MAX_DEPTH + 1)) + 1
+        assert (err.value.line, err.value.column) == (2, column)
+    # parentheses let chains stack, and negations add levels: the cap is on the sum
+    half = "(%s)" % chain_text("&&", MAX_DEPTH // 2 + 1)
+    assert parse_theory("w: %s || c." % half).world[0].right == Atom("c")
+    for text in ("w: %s && %s." % (half, chain_text("||", MAX_DEPTH)),
+                 "w: %s(%s)." % ("!" * (MAX_NESTING - 1), chain_text("&&", MAX_DEPTH))):
+        with pytest.raises(ParseError, match="more than %d levels deep" % MAX_DEPTH):
+            parse_theory(text)
 
 
 def test_make_theory_collapses_duplicates():

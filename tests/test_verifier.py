@@ -7,10 +7,11 @@ import pytest
 
 from gadel.formulas import (And, Atom, Not, Or, make_theory, negate_to_cnf,
                             parse_theory, tautology)
-from gadel.bench import build_hamiltonian, build_nixon, complete_arcs
+from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
 from gadel.program import active_clauses, chromosome_from_applied, compile_theory
-from gadel.prover import ProofBudget, oracle_entails
-from gadel.verifier import (ExtensionCertificate, Rejection, certificate_json,
+from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome,
+                          oracle_entails)
+from gadel.verifier import (ExtensionCertificate, Rejection, _StageMemo, certificate_json,
                             enumerate_extensions, verify)
 
 
@@ -218,3 +219,44 @@ def test_random_normal_theories_have_extensions():
             defaults.append((pre, [beta], beta))
         t = make_theory(world, defaults)
         assert len(enumerate_extensions(t)) >= 1
+
+
+CASE_SPLIT = "w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e."
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
+                         ids=["default", "tiny"])
+def test_shared_stage_verdicts_change_no_answer(budget):
+    # every candidate verified with one stage memo per theory gets exactly
+    # the certificate or rejection it gets from a fresh memo
+    rng = random.Random(53)
+    theories = [build_nixon(), build_hamiltonian(3, complete_arcs(3)), two_loops_demo(),
+                build_hamiltonian(2, complete_arcs(2)), parse_theory(CASE_SPLIT)]
+    theories += [_normal_theory(rng) for _ in range(30)]
+    reasons = set()
+    entries = candidates = 0
+    memoized = set()  # outcomes held in the memos, budget exhaustion included
+    for theory in theories:
+        prog = compile_theory(theory)
+        n = prog.n_defaults
+        stages = _StageMemo(prog, budget)
+        for mask in range(1 << n):
+            chrom = chromosome_from_applied(n, {i + 1 for i in range(n) if mask >> i & 1})
+            shared = verify(theory, chrom, budget, program=prog, _stages=stages)
+            assert shared == verify(theory, chrom, budget, program=prog)
+            reasons.add(getattr(shared, "reason", "certified"))
+        entries += len(stages.stages)
+        candidates += 1 << n
+        # each shared outcome is what a fresh session on its stage set answers
+        for stage, (_session, outcomes) in stages.stages.items():
+            fresh = CandidateQuerySession(prog, stage, budget)
+            for i, got in outcomes.items():
+                assert got is fresh.prereq_proved(i)
+                memoized.add(got)
+    # the memo keeps stage sets only, not one entry per candidate
+    assert 4 * entries < candidates
+    assert {"certified", "missing-applicable", "ungrounded"} <= reasons
+    if budget.max_splits == 1:
+        # a shared BUDGET_EXHAUSTED stage outcome still rejects as undecided
+        assert ProofOutcome.BUDGET_EXHAUSTED in memoized and "undecided" in reasons
+
