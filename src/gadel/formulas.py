@@ -5,7 +5,9 @@ taken as certain knowledge, D is an ordered list of default rules
 ``prerequisite : justification, ... / consequent``.  Formulas use only
 negation, conjunction and disjunction over lowercase atoms, which keeps
 clause-form conversion purely distributive (no auxiliary atoms are ever
-introduced, so per-rule clause-group selection stays exact).
+introduced, so per-rule clause-group selection stays exact).  The price is
+growth: a disjunction of k two-atom conjunctions has 2^k clauses, so
+clause-form conversion raises ValueError past MAX_CLAUSES.
 
 The concrete syntax accepted by :func:`parse_theory`::
 
@@ -156,6 +158,11 @@ class Clause:
         return "%s :- %s" % (hs, ",".join(names[b] for b in sorted(self.body)))
 
 
+# A disjunction's clause form has the product of its sides' clause counts;
+# past this many clauses in one product, clause-form conversion gives up.
+MAX_CLAUSES = 4096
+
+
 def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[frozenset[int], frozenset[int]]]:
     # Returns CNF as (heads, body) pairs, distributing disjunction over
     # conjunction.  `positive` tracks negation parity instead of rewriting
@@ -172,6 +179,8 @@ def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[fro
     # disjunction: cartesian merge of the two clause sets
     left = _nnf_clauses(f.left, positive, table)
     right = _nnf_clauses(f.right, positive, table)
+    if len(left) * len(right) > MAX_CLAUSES:
+        raise ValueError("formula has more than %d clauses in clause form" % MAX_CLAUSES)
     out = []
     for lh, lb in left:
         for rh, rb in right:

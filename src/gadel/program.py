@@ -12,43 +12,50 @@ clauses participate in a query:
   "does the candidate theory refute justification (i, j)".
 
 Selecting groups at query time replaces re-normalizing formulas for every
-chromosome the search evaluates.
+chromosome the search evaluates.  Every group is also split once, at
+compile time, into the integer masks the prover reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .formulas import Clause, DefaultTheory, negate_to_cnf, to_cnf
-
-PREREQ = "prereq"
-JUSTIF = "justif"
 
 Chromosome = tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Query:
-    """A prerequisite or justification query against a candidate theory."""
+def split_clauses(clauses) -> tuple[tuple, tuple, tuple]:
+    """The integer-mask view of a clause list that the prover works on.
 
-    kind: str  # PREREQ | JUSTIF
-    i: int
-    j: int = 0
-
-
-def prereq_query(i: int) -> Query:
-    return Query(PREREQ, i)
-
-
-def justif_query(i: int, j: int) -> Query:
-    return Query(JUSTIF, i, j)
+    A split group (defs, negs, disj) holds (head bit, body mask) per
+    one-head clause, the body mask per constraint, and (heads mask, body
+    mask) per clause with several heads, each in list order; atom id k is
+    bit k.  Tautologies are dropped.
+    """
+    defs, negs, disj = [], [], []
+    for c in clauses:
+        if c.heads & c.body:
+            continue  # tautology, never constrains anything
+        bm = 0
+        for b in c.body:
+            bm |= 1 << b
+        hm = 0
+        for h in c.heads:
+            hm |= 1 << h
+        if not c.heads:
+            negs.append(bm)
+        elif len(c.heads) == 1:
+            defs.append((hm, bm))
+        else:
+            disj.append((hm, bm))
+    return tuple(defs), tuple(negs), tuple(disj)
 
 
 class ClauseProgram:
     """Compiled clause groups: world, and per rule conclusion, prereq, justif.
 
-    Immutable after compile_theory returns it; the prover attaches a cached
-    integer-mask view lazily (idempotent, so safe to share between runs).
+    Each group also comes as a split group (world_split, conclusion_split,
+    prereq_split, justif_split), built once here.  Nothing changes after
+    compile_theory returns the program, so runs may share it.
     """
 
     def __init__(self, theory: DefaultTheory, world: tuple[Clause, ...],
@@ -62,7 +69,10 @@ class ClauseProgram:
         self.conclusion = conclusion
         self.prereq = prereq
         self.justif = justif
-        self._masks = None  # filled by the prover on first use
+        self.world_split = split_clauses(world)
+        self.conclusion_split = [split_clauses(g) for g in conclusion]
+        self.prereq_split = [split_clauses(g) for g in prereq]
+        self.justif_split = [[split_clauses(g) for g in rows] for rows in justif]
 
     def justification_count(self, i: int) -> int:
         return len(self.justif[i - 1])
@@ -109,8 +119,8 @@ def chromosome_from_applied(n_defaults: int, applied) -> Chromosome:
     return tuple(bits)
 
 
-def active_clauses(program: ClauseProgram, chromosome: Chromosome, query: Query | None) -> list[Clause]:
-    """Clauses live for this chromosome and query, in program order."""
+def active_clauses(program: ClauseProgram, chromosome: Chromosome) -> list[Clause]:
+    """The candidate theory's clauses: world, then each applied consequent, in rule order."""
     if len(chromosome) != 2 * program.n_defaults:
         raise ValueError(
             "chromosome length %d, expected %d" % (len(chromosome), 2 * program.n_defaults)
@@ -119,16 +129,4 @@ def active_clauses(program: ClauseProgram, chromosome: Chromosome, query: Query 
     for i in range(1, program.n_defaults + 1):
         if gene_pair(chromosome, i) == (1, 0):
             out.extend(program.conclusion[i - 1])
-    if query is not None:
-        if not 1 <= query.i <= program.n_defaults:
-            raise IndexError("no default with index %d" % query.i)
-        if query.kind == PREREQ:
-            out.extend(program.prereq[query.i - 1])
-        else:
-            rows = program.justif[query.i - 1]
-            if not 1 <= query.j <= len(rows):
-                raise IndexError(
-                    "default %d has no justification %d" % (query.i, query.j)
-                )
-            out.extend(rows[query.j - 1])
     return out

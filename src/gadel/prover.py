@@ -1,43 +1,48 @@
 """Refutation prover for compiled clause programs.
 
-Queries are decided by contradiction: the active clauses (certain knowledge,
-applied consequents, and the query's own group) are checked for
-unsatisfiability.  The engine runs SLD-style backward chaining from the
-constraint clauses; when a subgoal can only be supplied by a clause with
-several positive literals, that clause is split by case analysis: it is
-marked unusable on the branch, every other head is assumed in a child
-branch that must re-derive the contradiction, and the search continues with
-the reduced one-head clause.  Splitting happens only when a disjunctive
-head is actually needed, and all clause bookkeeping is branch-local.
+Queries are decided by contradiction: the candidate theory's clauses
+(certain knowledge and applied consequents) plus the query's own group are
+checked for unsatisfiability.
 
-Three sound short-circuits run first so that the common Horn-like queries
-never enter the search: a forward-chaining closure that already fires a
-constraint (proved), a closure that is a model of every active clause
-(not proved), and an over-approximating closure that shows no constraint
-can ever fire (not proved).  They never change a verdict, only the time it
-takes to reach one.
+Forward chaining settles most queries.  The closure of the one-head
+clauses either fires a constraint (proved), or satisfies every clause (a
+model: not proved), or an over-approximating closure that assumes every
+head of every disjunctive clause still fires no constraint (not proved).
 
-`CandidateQuerySession` is the entry point: it splits the candidate
-theory's compiled clause groups once and answers every question about that
-candidate (prerequisites, justifications, consistency, atom entailment) by
-overlaying at most one small group.  `refute_clauses` decides a raw clause
-list the same way and is the reference path the tests cross-check the
-session against; `use_shortcuts=False` there skips the short-circuits.
-The session's clause lists are in the order `refute_clauses` gives the
-same raw list, so both reach the same verdict with the same budget use.
+The rest go to model generation (SATCHMO: Manthey & Bry, CADE 1988),
+starting from that closure.  A branch is a closed atom set.  It closes
+when it fires a constraint; otherwise it splits on its first violated
+disjunctive clause, one child per head, each child closed again.  As in
+SATCHMORE (Loveland, Reed & Wilson 1995), only clauses with a head that can
+help fire a constraint are split on: the relevant atoms are the constraint
+bodies plus, until nothing changes, the body of every clause with a
+relevant head.  A branch with no relevant violated clause extends to a
+model (make every irrelevant atom true), so the answer is not proved; when
+every branch has closed, it is proved.  The loop keeps its branches in a
+list: no recursion, no process-wide state.
 
-Budgets cap total resolution steps and case splits.  A search cut short
-reports BUDGET_EXHAUSTED rather than guessing.
+`CandidateQuerySession` is the entry point: it gathers the candidate
+theory's split groups (see `program.split_clauses`, built at compile time)
+once and answers every question about that candidate (prerequisites,
+justifications, consistency, atom entailment) by overlaying at most one
+small group.  `refute_clauses` decides a raw clause list through the same
+decision function and is the reference path the tests check the session
+against.  The session's clause lists are in the order `refute_clauses`
+gives the same raw list, so both reach the same verdict with the same
+budget use.
+
+Budgets cap the branch nodes (max_depth) and the splits (max_splits) of
+one model-generation search.  A search cut short reports BUDGET_EXHAUSTED
+rather than guessing.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import sys
 from dataclasses import dataclass
 
-from .program import PREREQ, ClauseProgram, Query, active_clauses, applied_indices
+from .program import ClauseProgram, split_clauses
 
 
 class ProofOutcome(enum.Enum):
@@ -48,7 +53,7 @@ class ProofOutcome(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class ProofBudget:
-    """Hard caps for one refutation: resolution steps and case splits."""
+    """Hard caps for one refutation: branch nodes and case splits."""
 
     max_depth: int = 10_000
     max_splits: int = 64
@@ -61,37 +66,8 @@ class ProofBudget:
 DEFAULT_BUDGET = ProofBudget()
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
-# clause views: (head id, head bit, body mask, body tuple) for one-head
-# clauses, (body mask, body tuple) for constraints, and
-# (heads mask, heads tuple, body mask, body tuple) for disjunctive clauses.
-
-
-def _split_clauses(clauses):
-    defs, negs, disj = [], [], []
-    for c in clauses:
-        if c.heads & c.body:
-            continue  # tautology, never constrains anything
-        body = tuple(sorted(c.body))
-        bm = 0
-        for b in body:
-            bm |= 1 << b
-        if not c.heads:
-            negs.append((bm, body))
-        elif len(c.heads) == 1:
-            (h,) = c.heads
-            defs.append((h, 1 << h, bm, body))
-        else:
-            heads = tuple(sorted(c.heads))
-            hm = 0
-            for h in heads:
-                hm |= 1 << h
-            disj.append((hm, heads, bm, body))
-    return defs, negs, disj
+# atom-set operations over tuples of split-group parts
 
 
 def _closure(seed: int, def_groups) -> int:
@@ -100,7 +76,7 @@ def _closure(seed: int, def_groups) -> int:
     while changed:
         changed = False
         for defs in def_groups:
-            for _h, hb, bm, _bt in defs:
+            for hb, bm in defs:
                 if not (m & hb) and not (bm & ~m):
                     m |= hb
                     changed = True
@@ -109,215 +85,153 @@ def _closure(seed: int, def_groups) -> int:
 
 def _fired(m: int, neg_groups) -> bool:
     for negs in neg_groups:
-        for bm, _bt in negs:
+        for bm in negs:
             if not (bm & ~m):
                 return True
     return False
 
 
-def _violated(m: int, disj_groups) -> bool:
+def _violated(m: int, disj_groups, need: int = -1) -> int:
+    """Heads of the first disjunctive clause with a head in `need` that m
+    violates, as a mask; 0 if there is none.  By default every head counts."""
     for disj in disj_groups:
-        for hm, _ht, bm, _bt in disj:
-            if not (bm & ~m) and not (hm & m):
-                return True
-    return False
+        for hm, bm in disj:
+            if hm & need and not (bm & ~m) and not (hm & m):
+                return hm
+    return 0
 
 
 def _disj_heads(disj_groups) -> int:
     m = 0
     for disj in disj_groups:
-        for hm, _ht, _bm, _bt in disj:
+        for hm, _bm in disj:
             m |= hm
     return m
 
 
-def _engine(defs, negs, disj, budget: ProofBudget) -> ProofOutcome:
-    """Exhaustive backward search with case analysis; the authoritative path."""
-    _ensure_stack()
-    def_by_head: dict[int, list] = {}
-    for h, _hb, _bm, bt in defs:
-        def_by_head.setdefault(h, []).append(bt)
-    disj_by_head: dict[int, list[int]] = {}
-    for idx, (_hm, ht, _bm, _bt) in enumerate(disj):
-        for h in ht:
-            disj_by_head.setdefault(h, []).append(idx)
-
-    counters = [budget.max_depth, budget.max_splits]
-
-    def solve(goal, usable, extras, path, assumed):
-        # yields (usable, extras) continuation states for each proof of goal
-        gbit = 1 << goal
-        if path & gbit:
-            return  # ancestor: a goal never waits on itself
-        counters[0] -= 1
-        if counters[0] < 0:
-            raise _BudgetHit
-        npath = path | gbit
-        for bt in def_by_head.get(goal, ()):
-            yield from solve_body(bt, 0, usable, extras, npath, assumed)
-        for eh, _ebm, ebt in extras:
-            if eh == goal:
-                yield from solve_body(ebt, 0, usable, extras, npath, assumed)
-        if assumed & gbit:
-            yield usable, extras
-        for idx in disj_by_head.get(goal, ()):
-            if not (usable >> idx) & 1:
-                continue
-            hm, ht, bm, bt = disj[idx]
-            counters[1] -= 1
-            if counters[1] < 0:
-                raise _BudgetHit
-            u2 = usable & ~(1 << idx)
-            siblings_ok = True
-            for other in ht:
-                if other == goal:
-                    continue
-                if not refute_from(u2, assumed | (1 << other), extras):
-                    siblings_ok = False
-                    break
-            if siblings_ok:
-                extras2 = extras + ((goal, bm, bt),)
-                yield from solve_body(bt, 0, u2, extras2, npath, assumed)
-
-    def solve_body(bt, k, usable, extras, path, assumed):
-        if k == len(bt):
-            yield usable, extras
-            return
-        for u2, e2 in solve(bt[k], usable, extras, path, assumed):
-            yield from solve_body(bt, k + 1, u2, e2, path, assumed)
-
-    def refute_from(usable, assumed, extras) -> bool:
-        for _bm, bt in negs:
-            for _state in solve_body(bt, 0, usable, extras, 0, assumed):
-                return True
-        return False
-
-    try:
-        full = (1 << len(disj)) - 1
-        if refute_from(full, 0, ()):
-            return ProofOutcome.PROVED
-        return ProofOutcome.NOT_PROVED
-    except _BudgetHit:
-        return ProofOutcome.BUDGET_EXHAUSTED
+def _relevant(def_groups, neg_groups, disj_groups) -> int:
+    """Atoms that can help fire a constraint."""
+    need = 0
+    for negs in neg_groups:
+        for bm in negs:
+            need |= bm
+    changed = True
+    while changed:
+        changed = False
+        for groups in (def_groups, disj_groups):
+            for clauses in groups:
+                for hm, bm in clauses:
+                    if hm & need and bm & ~need:
+                        need |= bm
+                        changed = True
+    return need
 
 
-def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET,
-                   use_shortcuts: bool = True) -> ProofOutcome:
+def _engine(defs, negs, disj, m: int, budget: ProofBudget) -> ProofOutcome:
+    """Model generation from the closure m, which fires no constraint."""
+    need = _relevant(defs, negs, disj)
+    nodes, splits = budget.max_depth, budget.max_splits
+    branches = [m]
+    while branches:
+        m = branches.pop()
+        nodes -= 1
+        if nodes < 0:
+            return ProofOutcome.BUDGET_EXHAUSTED
+        if _fired(m, negs):
+            continue  # branch closed
+        heads = _violated(m, disj, need)
+        if not heads:
+            return ProofOutcome.NOT_PROVED  # the branch extends to a model
+        splits -= 1
+        if splits < 0:
+            return ProofOutcome.BUDGET_EXHAUSTED
+        while heads:
+            hb = heads & -heads
+            heads ^= hb
+            branches.append(_closure(m | hb, defs))
+    return ProofOutcome.PROVED
+
+
+def _base(defs, negs, disj):
+    """Forward-chaining state of a fixed clause set: its split lists, the
+    closure, the over-approximated closure, and whether the closure fires."""
+    m0 = _closure(0, (defs,))
+    mplus = _closure(m0 | _disj_heads((disj,)), (defs,))
+    return defs, negs, disj, m0, mplus, _fired(m0, (negs,))
+
+
+def _decide(base, qdefs, qnegs, qdisj, budget: ProofBudget) -> ProofOutcome:
+    """PROVED iff the base clauses plus the query group are unsatisfiable."""
+    defs, negs, disj, m0, mplus, fired = base
+    m = _closure(m0, (defs, qdefs)) if qdefs else m0
+    if m != m0:
+        fired = _fired(m, (negs, qnegs))
+    else:
+        fired = fired or _fired(m, (qnegs,))
+    if fired:
+        return ProofOutcome.PROVED  # closed by forward chaining
+    disj = (disj, qdisj)
+    if not _violated(m, disj):
+        return ProofOutcome.NOT_PROVED  # closure is a model
+    defs, negs = (defs, qdefs), (negs, qnegs)
+    if not _fired(_closure(mplus | m | _disj_heads((qdisj,)), defs), negs):
+        return ProofOutcome.NOT_PROVED  # no constraint reachable
+    return _engine(defs, negs, disj, m, budget)
+
+
+def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
     """PROVED iff the clause set is propositionally unsatisfiable."""
-    defs, negs, disj = _split_clauses(clauses)
-    if use_shortcuts:
-        m0 = _closure(0, (defs,))
-        if _fired(m0, (negs,)):
-            return ProofOutcome.PROVED  # closed by forward chaining
-        if not _violated(m0, (disj,)):
-            return ProofOutcome.NOT_PROVED  # closure is a model
-        mplus = _closure(m0 | _disj_heads((disj,)), (defs,))
-        if not _fired(mplus, (negs,)):
-            return ProofOutcome.NOT_PROVED  # no constraint reachable
-    return _engine(defs, negs, disj, budget)
-
-
-def _ensure_stack():
-    if sys.getrecursionlimit() < 20_000:
-        sys.setrecursionlimit(20_000)
+    return _decide(_base(*split_clauses(clauses)), (), (), (), budget)
 
 
 # ---------------------------------------------------------------------------
 # program-level interface
 
 
-def _program_masks(program: ClauseProgram):
-    masks = program._masks
-    if masks is None:
-        masks = {
-            "world": _split_clauses(program.world),
-            "conclusion": [_split_clauses(g) for g in program.conclusion],
-            "prereq": [_split_clauses(g) for g in program.prereq],
-            "justif": [[_split_clauses(g) for g in rows] for rows in program.justif],
-        }
-        program._masks = masks
-    return masks
-
-
 class CandidateQuerySession:
     """Shared forward-chaining state for many queries on one candidate.
 
     The candidate theory (W plus applied consequents) is fixed, so its
-    closure, its over-approximated closure, and the clause partition are
-    computed once and each query only overlays its own small clause group.
+    split groups, closure and over-approximated closure are gathered once,
+    and each query only overlays its own small split group.  Rule and
+    justification indices are 1-based; any other index is an IndexError.
     """
 
     def __init__(self, program: ClauseProgram, applied, budget: ProofBudget = DEFAULT_BUDGET):
         self.program = program
         self.budget = budget
-        masks = _program_masks(program)
-        defs, negs, disj = [list(g) for g in masks["world"]]
+        defs, negs, disj = [list(g) for g in program.world_split]
         for i in sorted(applied):
-            gd, gn, gj = masks["conclusion"][i - 1]
+            gd, gn, gj = program.conclusion_split[i - 1]
             defs.extend(gd)
             negs.extend(gn)
             disj.extend(gj)
-        self.defs = defs
-        self.negs = negs
-        self.disj = disj
-        self._masks = masks
-        self.m0 = _closure(0, (defs,))
-        self.mplus = _closure(self.m0 | _disj_heads((disj,)), (defs,))
-        self.base_fired = _fired(self.m0, (negs,))
-
-    def _decide(self, qdefs, qnegs, qdisj) -> ProofOutcome:
-        """PROVED iff the candidate's clauses plus the given group are unsatisfiable."""
-        if qdefs:
-            m0 = _closure(self.m0, (self.defs, qdefs))
-        else:
-            m0 = self.m0
-        if m0 != self.m0:
-            fired = _fired(m0, (self.negs, qnegs))
-        else:
-            fired = self.base_fired or _fired(m0, (qnegs,))
-        if fired:
-            return ProofOutcome.PROVED  # closed by forward chaining
-        if not _violated(m0, (self.disj, qdisj)):
-            return ProofOutcome.NOT_PROVED  # closure is a model
-        seed = self.mplus | m0 | _disj_heads((qdisj,))
-        mplus = _closure(seed, (self.defs, qdefs))
-        if not _fired(mplus, (self.negs, qnegs)):
-            return ProofOutcome.NOT_PROVED  # no constraint reachable
-        return _engine(self.defs + qdefs, self.negs + qnegs,
-                       self.disj + qdisj, self.budget)
-
-    def ask(self, query: Query) -> ProofOutcome:
-        if query.kind == PREREQ:
-            return self.prereq_proved(query.i)
-        return self.justification_refuted(query.i, query.j)
+        self._base = _base(defs, negs, disj)
 
     def prereq_proved(self, i: int) -> ProofOutcome:
-        return self._decide(*self._masks["prereq"][i - 1])
+        """PROVED iff the candidate theory entails rule i's prerequisite."""
+        if not 0 < i <= self.program.n_defaults:
+            raise IndexError("no default with index %d" % i)
+        qdefs, qnegs, qdisj = self.program.prereq_split[i - 1]
+        return _decide(self._base, qdefs, qnegs, qdisj, self.budget)
 
     def justification_refuted(self, i: int, j: int) -> ProofOutcome:
-        return self._decide(*self._masks["justif"][i - 1][j - 1])
+        """PROVED iff the candidate theory refutes justification j of rule i."""
+        if not 0 < i <= self.program.n_defaults:
+            raise IndexError("no default with index %d" % i)
+        rows = self.program.justif_split[i - 1]
+        if not 0 < j <= len(rows):
+            raise IndexError("default %d has no justification %d" % (i, j))
+        qdefs, qnegs, qdisj = rows[j - 1]
+        return _decide(self._base, qdefs, qnegs, qdisj, self.budget)
 
     def consistent(self) -> ProofOutcome:
         """NOT_PROVED iff the candidate theory is satisfiable."""
-        return self._decide([], [], [])
+        return _decide(self._base, (), (), (), self.budget)
 
     def entails_atom(self, aid: int) -> ProofOutcome:
         """PROVED iff the candidate theory entails atom `aid`."""
-        return self._decide([], [(1 << aid, (aid,))], [])
-
-
-def refute(program: ClauseProgram, chromosome, query: Query,
-           budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
-    """Decide one query against the candidate encoded by the chromosome.
-
-    PROVED means the active clause set (see active_clauses) is
-    unsatisfiable, i.e. the candidate theory entails the queried formula's
-    refutation target.
-    """
-    # validates chromosome length and query indices the same way the
-    # clause-listing interface does
-    active_clauses(program, chromosome, query)
-    return CandidateQuerySession(program, applied_indices(chromosome), budget).ask(query)
+        return _decide(self._base, (), (1 << aid,), (), self.budget)
 
 
 # ---------------------------------------------------------------------------

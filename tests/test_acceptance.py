@@ -14,10 +14,9 @@ from gadel.bench import (batch_stats, build_hamiltonian, build_nixon,
 from gadel.engine import (GaParams, PenaltyTable, UNIT_PENALTIES,
                           _VerdictCache, fitness, pair_penalty)
 from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
-from gadel.program import (active_clauses, compile_theory, justif_query,
-                           prereq_query)
-from gadel.prover import (DEFAULT_BUDGET, ProofBudget, ProofOutcome,
-                          oracle_entails, refute)
+from gadel.program import active_clauses, applied_indices, compile_theory
+from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
+                          ProofOutcome, oracle_entails)
 from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
@@ -68,16 +67,19 @@ def test_criterion_1_prover_matches_oracle():
         i = rng.randint(1, n)
         justs = program.justif[i - 1]
         if justs and rng.random() < 0.5:
-            query = justif_query(i, rng.randint(1, len(justs)))
+            j = rng.randint(1, len(justs))
+            group = justs[j - 1]
         else:
-            query = prereq_query(i)
-        active = active_clauses(program, chrom, query)
+            j = 0  # the prerequisite query
+            group = program.prereq[i - 1]
+        active = active_clauses(program, chrom) + list(group)
         if sum(1 for c in active if len(c.heads) >= 2) > 3:
             continue
         total += 1
         if any(len(c.heads) >= 2 for c in active):
             with_split += 1
-        got = refute(program, chrom, query, WIDE)
+        session = CandidateQuerySession(program, applied_indices(chrom), WIDE)
+        got = session.justification_refuted(i, j) if j else session.prereq_proved(i)
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             hits += 1
             continue

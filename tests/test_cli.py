@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gadel.cli import CSV_HEADER, main
-from gadel.formulas import parse_theory
+from gadel.formulas import MAX_CLAUSES, parse_theory
 from gadel.verifier import enumerate_extensions
 
 NIXON = ("w: republican.\n"
@@ -185,6 +185,14 @@ def test_long_chain_is_a_usage_error(tmp_path):
     assert got.returncode == 2
     assert "Traceback" not in got.stderr
     assert "levels deep (line 1, column" in got.stderr
+
+
+def test_clause_blowup_is_a_usage_error(tmp_path, capsys):
+    # (a0 && b0) || ... || (a15 && b15) has 2^16 clauses in clause form
+    dnf = tmp_path / "dnf.dl"
+    dnf.write_text("w: " + " || ".join("a%d && b%d" % (k, k) for k in range(16)) + ".\n")
+    assert main(["check", "--applied", "", str(dnf)]) == 2
+    assert "more than %d clauses" % MAX_CLAUSES in capsys.readouterr().err
 
 
 def test_module_entry_point(nixon_file):

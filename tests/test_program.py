@@ -7,8 +7,7 @@ import pytest
 from gadel.formulas import (Atom, Clause, Not, negate_to_cnf, parse_theory,
                             to_cnf)
 from gadel.program import (active_clauses, applied_indices,
-                           chromosome_from_applied, compile_theory, gene_pair,
-                           justif_query, prereq_query)
+                           chromosome_from_applied, compile_theory, gene_pair)
 
 
 def rendered(clauses, program):
@@ -32,13 +31,14 @@ def test_active_clauses_by_query():
     th = parse_theory("w: a.\nd: a : b / c.\n")
     program = compile_theory(th)
     applied = (1, 0)
-    base = rendered(active_clauses(program, applied, None), program)
-    assert base == ["a", "c"]
-    with_prereq = rendered(active_clauses(program, applied, prereq_query(1)), program)
+    base = active_clauses(program, applied)
+    assert rendered(base, program) == ["a", "c"]
+    # a query adds its own group to the candidate's clauses
+    with_prereq = rendered(base + list(program.prereq[0]), program)
     assert with_prereq == ["a", "c", "false :- a"]
-    with_justif = rendered(active_clauses(program, applied, justif_query(1, 1)), program)
+    with_justif = rendered(base + list(program.justif[0][0]), program)
     assert with_justif == ["a", "b", "c"]
-    unapplied = rendered(active_clauses(program, (0, 0), prereq_query(1)), program)
+    unapplied = rendered(active_clauses(program, (0, 0)) + list(program.prereq[0]), program)
     assert unapplied == ["a", "false :- a"]
 
 
@@ -46,7 +46,7 @@ def test_active_clauses_validates_length():
     th = parse_theory("w: a.\nd: a : b / c.\n")
     program = compile_theory(th)
     with pytest.raises(ValueError):
-        active_clauses(program, (1, 0, 1), None)
+        active_clauses(program, (1, 0, 1))
 
 
 def test_compound_parts_normalize():

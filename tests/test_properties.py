@@ -43,7 +43,7 @@ def clause_programs(draw):
 def test_session_matches_reference_and_truth_table(budget, case):
     program, applied = case
     session = CandidateQuerySession(program, applied, budget)
-    base = active_clauses(program, chromosome_from_applied(program.n_defaults, applied), None)
+    base = active_clauses(program, chromosome_from_applied(program.n_defaults, applied))
     queries = [(session.consistent(), base)]
     for aid in range(program.atom_count):
         goal = Clause(frozenset(), frozenset((aid,)))

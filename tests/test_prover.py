@@ -1,13 +1,14 @@
 """Refutation prover: frozen verdicts, oracle agreement, budget behavior."""
 
 import random
+import sys
 
 import pytest
 
 from gadel.formulas import Clause, parse_theory
-from gadel.program import compile_theory, justif_query, prereq_query
+from gadel.program import compile_theory
 from gadel.prover import (CandidateQuerySession, DEFAULT_BUDGET, ProofBudget,
-                          ProofOutcome, refute, refute_clauses, truth_table_unsat)
+                          ProofOutcome, refute_clauses, truth_table_unsat)
 
 
 def cl(heads, body=()):
@@ -33,7 +34,7 @@ def test_cyclic_program_terminates():
     # a <- b. b <- a. <- a   (no facts: consistent)
     cyc = [cl((0,), (1,)), cl((1,), (0,)), cl((), (0,))]
     assert refute_clauses(cyc) is ProofOutcome.NOT_PROVED
-    assert refute_clauses(cyc, use_shortcuts=False) is ProofOutcome.NOT_PROVED
+    assert not truth_table_unsat(cyc, 2)
 
 
 def test_case_split_needed():
@@ -89,15 +90,16 @@ def test_oracle_agreement_random():
 
 
 def test_shortcuts_never_change_verdicts():
+    # whichever path decides (forward chaining or model generation), the
+    # verdict is the truth table's
     rng = random.Random(101)
     for _ in range(300):
         atom_count = rng.randint(1, 8)
         clauses = random_clauses(rng, atom_count, rng.randint(1, 10), 2)
-        fast = refute_clauses(clauses)
-        slow = refute_clauses(clauses, use_shortcuts=False)
-        if ProofOutcome.BUDGET_EXHAUSTED in (fast, slow):
+        got = refute_clauses(clauses)
+        if got is ProofOutcome.BUDGET_EXHAUSTED:
             continue
-        assert fast is slow, clauses
+        assert (got is ProofOutcome.PROVED) == truth_table_unsat(clauses, atom_count), clauses
 
 
 def test_budget_exhaustion_and_monotonicity():
@@ -125,28 +127,63 @@ def test_prereq_and_justification_queries():
     # W={a}, D={ a:b/c , c:!a/d }
     th = parse_theory("w: a.\nd: a : b / c.\nd: c : !a / d.\n")
     program = compile_theory(th)
-    nothing = (0, 0, 0, 0)
-    first = (1, 0, 0, 0)
-    assert refute(program, nothing, prereq_query(1)) is ProofOutcome.PROVED
-    assert refute(program, nothing, prereq_query(2)) is ProofOutcome.NOT_PROVED
-    assert refute(program, first, prereq_query(2)) is ProofOutcome.PROVED
+    nothing = CandidateQuerySession(program, frozenset())
+    first = CandidateQuerySession(program, frozenset((1,)))
+    assert nothing.prereq_proved(1) is ProofOutcome.PROVED
+    assert nothing.prereq_proved(2) is ProofOutcome.NOT_PROVED
+    assert first.prereq_proved(2) is ProofOutcome.PROVED
     # W ∪ {c} entails a, refuting justification !a of rule 2
-    assert refute(program, first, justif_query(2, 1)) is ProofOutcome.PROVED
-    assert refute(program, nothing, justif_query(1, 1)) is ProofOutcome.NOT_PROVED
+    assert first.justification_refuted(2, 1) is ProofOutcome.PROVED
+    assert nothing.justification_refuted(1, 1) is ProofOutcome.NOT_PROVED
 
 
-def test_session_matches_free_functions():
-    th = parse_theory("w: a || b.\nd: a : b / c.\nd: b : !c / d.\n")
-    program = compile_theory(th)
-    rng = random.Random(9)
-    for _ in range(40):
-        chromosome = tuple(rng.randint(0, 1) for _ in range(4))
-        session = CandidateQuerySession(program, applied=frozenset(
-            i for i in (1, 2) if chromosome[2 * i - 2] == 1 and chromosome[2 * i - 1] == 0))
-        for i in (1, 2):
-            assert session.prereq_proved(i) is refute(program, chromosome, prereq_query(i))
-            assert session.justification_refuted(i, 1) is refute(
-                program, chromosome, justif_query(i, 1))
+def test_session_rejects_out_of_range_indices():
+    th = parse_theory("w: a.\nd: a : b / c.\nd: c : !a / d.\n")
+    session = CandidateQuerySession(compile_theory(th), frozenset())
+    for i in (0, -1, 3):
+        with pytest.raises(IndexError):
+            session.prereq_proved(i)
+        with pytest.raises(IndexError):
+            session.justification_refuted(i, 1)
+    for j in (0, -1, 2):
+        with pytest.raises(IndexError):
+            session.justification_refuted(1, j)
+
+
+# satisfiable, yet backward chaining with case splits needs 78 splits to
+# show it, more than the default budget allows
+FOUND_SET = [cl((0, 2, 3)), cl((), (0,)), cl((1,), (2,)), cl((1,)), cl((0, 1, 2)),
+             cl((), (0, 1, 3)), cl((0, 2)), cl((1, 2))]
+
+
+def test_small_satisfiable_set_decided_by_default_budget():
+    got = refute_clauses(FOUND_SET, DEFAULT_BUDGET)
+    assert got is ProofOutcome.NOT_PROVED
+    assert not truth_table_unsat(FOUND_SET, 4)
+
+
+def test_recursion_limit_left_alone():
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        # a | b.  c <- a.  c <- b.  <- c   needs a case split
+        clauses = [cl((0, 1)), cl((2,), (0,)), cl((2,), (1,)), cl((), (2,))]
+        assert refute_clauses(clauses) is ProofOutcome.PROVED
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_splits_only_on_relevant_clauses():
+    # ten independent triples a_k | b_k, c_k <- a_k, c_k <- b_k, and <- c_10:
+    # one split on a_10 | b_10 proves it; splitting on the first violated
+    # clause instead would need far more
+    clauses = []
+    for k in range(10):
+        a, b, c = 3 * k, 3 * k + 1, 3 * k + 2
+        clauses += [cl((a, b)), cl((c,), (a,)), cl((c,), (b,))]
+    clauses.append(cl((), (29,)))
+    assert refute_clauses(clauses, ProofBudget(max_splits=1)) is ProofOutcome.PROVED
 
 
 def test_truth_table_oracle_basics():

@@ -146,7 +146,7 @@ def _same_theory(program, theory, a, b):
     each side must entail every consequent the other side adds."""
     for base_set, other in ((a, b - a), (b, a - b)):
         chrom = chromosome_from_applied(program.n_defaults, base_set)
-        base = active_clauses(program, chrom, None)
+        base = active_clauses(program, chrom)
         for i in sorted(other):
             goal = negate_to_cnf(theory.defaults[i - 1].consequent, theory.atoms)
             if not oracle_entails(base + list(goal), program.atom_count):
