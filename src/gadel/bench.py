@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .engine import (UNIT_PENALTIES, Found, GaParams, PenaltyTable, evolve)
@@ -246,13 +246,7 @@ def run_batch(theory: DefaultTheory, params: GaParams, repetitions: int,
     program = compile_theory(theory)
     records = []
     for k in range(repetitions):
-        seeded = GaParams(population_size=params.population_size,
-                          crossover_rate=params.crossover_rate,
-                          mutation_rate=params.mutation_rate,
-                          max_generations=params.max_generations,
-                          restart_after=params.restart_after,
-                          selection_fraction=params.selection_fraction,
-                          rng_seed=base_seed + k)
+        seeded = replace(params, rng_seed=base_seed + k)
         t0 = time.perf_counter()
         outcome = evolve(program, theory, seeded, table, budget,
                          on_generation=on_generation)

@@ -11,6 +11,11 @@ can support each other without being derivable from the certain knowledge,
 so every zero-fitness candidate is handed to the fixed-point verifier and
 only a certified candidate ends the search.
 
+The prover verdicts behind a fitness depend only on the applied set, so a
+search keeps them in one `verifier._VerdictCache`: a row of rule masks per
+applied set, read bit by bit here, and a consistency outcome per applied
+set.  The verifier reads its stage sets' rows from the same store.
+
 The population is a set of distinct chromosomes, evaluated in sorted
 order.  Each generation selects parents from the ranking, breeds offspring
 from them until the set is full again, and tops up with fresh random
@@ -47,8 +52,8 @@ from dataclasses import dataclass
 from .formulas import DefaultTheory
 from .program import (Chromosome, ClauseProgram, applied_indices,
                       chromosome_from_applied, gene_pair)
-from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
-from .verifier import ExtensionCertificate, Rejection, _StageMemo, verify
+from .prover import DEFAULT_BUDGET, ProofBudget
+from .verifier import ExtensionCertificate, Rejection, _VerdictCache, verify
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,55 +103,12 @@ def pair_penalty(table: PenaltyTable, pair: tuple[int, int],
 class FitnessReport:
     chromosome: Chromosome
     total: float
-    per_rule: tuple[tuple[int, tuple[int, int], bool, bool, float], ...]
+    applied: frozenset[int]
     budget_hits: int
 
     @property
     def hit_budget(self) -> bool:
         return self.budget_hits > 0
-
-
-class _VerdictCache:
-    """Prover verdicts per applied-rule set; the candidate theory, and hence
-    every query answer, depends only on that set."""
-
-    def __init__(self, program: ClauseProgram, budget: ProofBudget):
-        self.program = program
-        self.budget = budget
-        self.store: dict[frozenset[int], tuple] = {}
-        self.cons: dict[frozenset[int], bool] = {}
-
-    def verdicts(self, applied: frozenset[int]):
-        got = self.store.get(applied)
-        if got is None:
-            session = CandidateQuerySession(self.program, applied, self.budget)
-            rows = []
-            hits = 0
-            for i in range(1, self.program.n_defaults + 1):
-                pre = session.prereq_proved(i)
-                if pre is ProofOutcome.BUDGET_EXHAUSTED:
-                    hits += 1
-                refuted = False
-                for j in range(1, self.program.justification_count(i) + 1):
-                    just = session.justification_refuted(i, j)
-                    if just is ProofOutcome.BUDGET_EXHAUSTED:
-                        hits += 1
-                    if just is ProofOutcome.PROVED:
-                        refuted = True
-                        break
-                rows.append((pre is ProofOutcome.PROVED, refuted))
-            got = (tuple(rows), hits)
-            self.store[applied] = got
-        return got
-
-    def consistent(self, applied: frozenset[int]) -> bool:
-        """Whether the candidate theory is satisfiable; budget hits count as no."""
-        got = self.cons.get(applied)
-        if got is None:
-            session = CandidateQuerySession(self.program, applied, self.budget)
-            got = session.consistent() is ProofOutcome.NOT_PROVED
-            self.cons[applied] = got
-        return got
 
 
 def fitness(program: ClauseProgram, chromosome: Chromosome,
@@ -158,16 +120,13 @@ def fitness(program: ClauseProgram, chromosome: Chromosome,
         raise ValueError("chromosome length %d, expected %d"
                          % (len(chromosome), 2 * program.n_defaults))
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
-    rows, hits = cache.verdicts(applied_indices(chromosome))
-    per_rule = []
+    applied = applied_indices(chromosome)
+    proved, _exhausted, refuted, hits = cache.verdicts(applied)
     total = 0.0
-    for i in range(1, program.n_defaults + 1):
-        pre, refuted = rows[i - 1]
-        pair = gene_pair(chromosome, i)
-        p = pair_penalty(table, pair, pre, refuted)
-        total += p
-        per_rule.append((i, pair, pre, refuted, p))
-    return FitnessReport(chromosome, total, tuple(per_rule), hits)
+    for i in range(program.n_defaults):
+        total += pair_penalty(table, gene_pair(chromosome, i + 1),
+                              proved >> i & 1, refuted >> i & 1)
+    return FitnessReport(chromosome, total, applied, hits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -321,7 +280,7 @@ def _select_parents(reports: list[FitnessReport], keep: int,
     for rep in reports:
         if len(chosen) >= reserve:
             break
-        key = applied_indices(rep.chromosome)
+        key = rep.applied
         if key not in seen and cache.consistent(key):
             seen.add(key)
             taken.add(rep.chromosome)
@@ -331,7 +290,7 @@ def _select_parents(reports: list[FitnessReport], keep: int,
             break
         if rep.chromosome in taken:
             continue
-        key = applied_indices(rep.chromosome)
+        key = rep.applied
         if key not in seen:
             seen.add(key)
             taken.add(rep.chromosome)
@@ -370,7 +329,6 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     reasons: dict[str, int] = {}
     # verdict of verify() depends only on the applied set, so memoize it
     checked: dict[frozenset[int], ExtensionCertificate | Rejection] = {}
-    stages = _StageMemo(program, budget)
     descended: set[frozenset[int]] = set()
     best: FitnessReport | None = None
 
@@ -382,9 +340,8 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
         # polish the best satisfiable candidate, once per distinct start
         start = None
         for rep in reports:
-            key = applied_indices(rep.chromosome)
-            if cache.consistent(key):
-                start = key
+            if cache.consistent(rep.applied):
+                start = rep.applied
                 break
         if start is not None and start not in descended:
             descended.add(start)
@@ -402,12 +359,11 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
         for rep in reports:
             if rep.total != 0:
                 break
-            key = applied_indices(rep.chromosome)
-            outcome = checked.get(key)
+            outcome = checked.get(rep.applied)
             if outcome is None:
                 outcome = verify(theory, rep.chromosome, budget, program=program,
-                                 _stages=stages)
-                checked[key] = outcome
+                                 _cache=cache)
+                checked[rep.applied] = outcome
             if isinstance(outcome, ExtensionCertificate):
                 return Found(rep.chromosome, outcome, generations, restarts,
                              rejected, _reason_counts(reasons))

@@ -7,7 +7,8 @@ negation, conjunction and disjunction over lowercase atoms, which keeps
 clause-form conversion purely distributive (no auxiliary atoms are ever
 introduced, so per-rule clause-group selection stays exact).  The price is
 growth: a disjunction of k two-atom conjunctions has 2^k clauses, so
-clause-form conversion raises ValueError past MAX_CLAUSES.
+clause-form conversion raises ValueError when a formula's clause form would
+pass MAX_CLAUSES.
 
 The concrete syntax accepted by :func:`parse_theory`::
 
@@ -126,12 +127,6 @@ class AtomTable:
             self.names.append(name)
         return i
 
-    def id_of(self, name: str) -> int:
-        return self._ids[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -151,15 +146,10 @@ class Clause:
     def sort_key(self):
         return (tuple(sorted(self.heads)), tuple(sorted(self.body)))
 
-    def render(self, names: list[str]) -> str:
-        hs = ";".join(names[h] for h in sorted(self.heads)) or "false"
-        if not self.body:
-            return hs
-        return "%s :- %s" % (hs, ",".join(names[b] for b in sorted(self.body)))
 
-
-# A disjunction's clause form has the product of its sides' clause counts;
-# past this many clauses in one product, clause-form conversion gives up.
+# A conjunction's clause form has the sum of its sides' clause counts and a
+# disjunction's the product; past this many clauses in either, and so in any
+# formula, clause-form conversion gives up.
 MAX_CLAUSES = 4096
 
 
@@ -174,42 +164,32 @@ def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[fro
         if positive:
             return [(frozenset((i,)), frozenset())]
         return [(frozenset(), frozenset((i,)))]
-    if (isinstance(f, And) and positive) or (isinstance(f, Or) and not positive):
-        return _nnf_clauses(f.left, positive, table) + _nnf_clauses(f.right, positive, table)
-    # disjunction: cartesian merge of the two clause sets
     left = _nnf_clauses(f.left, positive, table)
     right = _nnf_clauses(f.right, positive, table)
-    if len(left) * len(right) > MAX_CLAUSES:
+    conjunction = isinstance(f, And) == positive
+    if (len(left) + len(right) if conjunction else len(left) * len(right)) > MAX_CLAUSES:
         raise ValueError("formula has more than %d clauses in clause form" % MAX_CLAUSES)
-    out = []
-    for lh, lb in left:
-        for rh, rb in right:
-            out.append((lh | rh, lb | rb))
-    return out
+    if conjunction:
+        return left + right
+    # disjunction: cartesian merge of the two clause sets
+    return [(lh | rh, lb | rb) for lh, lb in left for rh, rb in right]
+
+
+def _cnf(f: Formula, positive: bool, table: AtomTable | None) -> frozenset[Clause]:
+    if table is None:
+        table = AtomTable()
+    return frozenset(Clause(heads, body) for heads, body in _nnf_clauses(f, positive, table)
+                     if not heads & body)
 
 
 def to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[Clause]:
     """Distributive CNF of f; tautological clauses dropped, duplicates merged."""
-    if table is None:
-        table = AtomTable()
-    out = set()
-    for heads, body in _nnf_clauses(f, True, table):
-        if heads & body:
-            continue
-        out.add(Clause(heads, body))
-    return frozenset(out)
+    return _cnf(f, True, table)
 
 
 def negate_to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[Clause]:
     """Clause form of the negation of f (used for goal clauses)."""
-    if table is None:
-        table = AtomTable()
-    out = set()
-    for heads, body in _nnf_clauses(f, False, table):
-        if heads & body:
-            continue
-        out.add(Clause(heads, body))
-    return frozenset(out)
+    return _cnf(f, False, table)
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,12 +406,9 @@ def format_formula(f: Formula) -> str:
     return walk(f, 1)
 
 
-def format_theory(theory: DefaultTheory, header: str | None = None) -> str:
+def format_theory(theory: DefaultTheory) -> str:
     """Theory file text that parses back to an equal theory."""
     lines = []
-    if header:
-        for h in header.splitlines():
-            lines.append("# " + h)
     for f in theory.world:
         lines.append("w: %s." % format_formula(f))
     for d in theory.defaults:

@@ -194,7 +194,8 @@ class CandidateQuerySession:
     The candidate theory (W plus applied consequents) is fixed, so its
     split groups, closure and over-approximated closure are gathered once,
     and each query only overlays its own small split group.  Rule and
-    justification indices are 1-based; any other index is an IndexError.
+    justification indices are 1-based and atom ids 0-based; any other index
+    is an IndexError.
     """
 
     def __init__(self, program: ClauseProgram, applied, budget: ProofBudget = DEFAULT_BUDGET):
@@ -231,6 +232,8 @@ class CandidateQuerySession:
 
     def entails_atom(self, aid: int) -> ProofOutcome:
         """PROVED iff the candidate theory entails atom `aid`."""
+        if not 0 <= aid < self.program.atom_count:
+            raise IndexError("no atom with id %d" % aid)
         return _decide(self._base, (), (1 << aid,), (), self.budget)
 
 
@@ -263,12 +266,3 @@ def truth_table_unsat(clauses, atom_count: int) -> bool:
         if ok:
             return False
     return True
-
-
-def oracle_entails(clauses, atom_count: int) -> bool:
-    """Entailment by exhaustive assignment: the refutation-style question.
-
-    The clause set is expected to already contain the negated query, so
-    entailment is plain unsatisfiability of the whole set.
-    """
-    return truth_table_unsat(clauses, atom_count)

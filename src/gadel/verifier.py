@@ -17,17 +17,25 @@ different certified sets always span different extensions.  This is why
 `enumerate_extensions` visits each extension exactly once and needs no
 deduplication.
 
-Each candidate is answered from one prover session: its justifications,
-its consistency and the atoms it entails.  The stages are shared instead.
-Whether rule i's prerequisite follows from stage set S depends only on S
-(and the program and budget), not on the candidate whose fixpoint reached
-S, and the stages of many candidates pass through the same few sets.  So
-`_StageMemo` keeps one session and the prerequisite outcomes asked so far
-per stage set, and the candidates of one enumeration or search share them.
-A shared outcome is the one a fresh session for S would give, budget
-exhaustion included, so sharing changes no certificate or rejection.  The
-memo holds stage sets only, never one entry per candidate, which keeps it
-small.
+`_VerdictCache` is the one store of prover verdicts.  The theory an
+applied set spans, and so every answer about it, depends only on that set
+(and the program and budget).  A row holds, per applied set, three rule
+masks with bit i-1 for rule i (prerequisite proved, prerequisite left
+undecided by the budget, some justification refuted) and the number of
+budget hits.  The search scores a chromosome from the row of its applied
+set, and a stage of the staged closure is an applied set too, so its
+admissions come from the same rows; the stages of many candidates pass
+through the same few sets.  A stored row is what a fresh session gives,
+budget exhaustion included, so sharing it changes no score, certificate
+or rejection.
+
+`verify` answers its own candidate's justifications, consistency and atoms
+from a session of its own and never stores that candidate's row: an
+enumeration would otherwise keep one row per candidate.  A stage row is
+built only while some admissible rule (one whose justifications the
+candidate leaves unrefuted) is still outside the stage: a stage that has
+admitted all of them is the fixpoint, and asking for its row anyway would
+again add about one row per candidate.
 """
 
 from __future__ import annotations
@@ -59,68 +67,87 @@ class _Undecided(Exception):
     pass
 
 
-def _justifications_ok(program: ClauseProgram, session: CandidateQuerySession) -> list[bool]:
-    """Per rule: no justification is refuted by the candidate theory."""
-    ok = []
+def _rules(mask: int) -> frozenset[int]:
+    """Rule indices of a rule mask: bit i-1 is rule i."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _refuted(program: ClauseProgram,
+             session: CandidateQuerySession) -> tuple[int, list[tuple[int, int]]]:
+    """Mask of rules with a justification the candidate refutes, and the
+    (rule, justification) pairs left undecided before a rule's first refuted one."""
+    refuted = 0
+    undecided = []
     for i in range(1, program.n_defaults + 1):
-        good = True
         for j in range(1, program.justification_count(i) + 1):
             got = session.justification_refuted(i, j)
-            if got is ProofOutcome.BUDGET_EXHAUSTED:
-                raise _Undecided("justification %d of rule %d not decided within budget" % (j, i))
             if got is ProofOutcome.PROVED:
-                good = False
+                refuted |= 1 << (i - 1)
                 break
-        ok.append(good)
-    return ok
+            if got is ProofOutcome.BUDGET_EXHAUSTED:
+                undecided.append((i, j))
+    return refuted, undecided
 
 
-class _StageMemo:
-    """Prerequisite outcomes per stage set, shared by the candidates of one
-    program and budget: a session and a lazily filled {rule: outcome} map."""
+class _VerdictCache:
+    """Verdict rows and consistency outcomes per applied set, shared by every
+    candidate of one program and budget."""
 
     def __init__(self, program: ClauseProgram, budget: ProofBudget):
         self.program = program
         self.budget = budget
-        self.stages: dict[frozenset[int], tuple[CandidateQuerySession,
-                                                dict[int, ProofOutcome]]] = {}
+        self.store: dict[frozenset[int], tuple[int, int, int, int]] = {}
+        self.cons: dict[frozenset[int], ProofOutcome] = {}
 
-    def _entry(self, stage: frozenset[int]):
-        entry = self.stages.get(stage)
-        if entry is None:
-            entry = (CandidateQuerySession(self.program, stage, self.budget), {})
-            self.stages[stage] = entry
-        return entry
+    def verdicts(self, applied: frozenset[int]) -> tuple[int, int, int, int]:
+        """(proved, exhausted, refuted, budget hits) of the theory `applied` spans."""
+        row = self.store.get(applied)
+        if row is None:
+            session = CandidateQuerySession(self.program, applied, self.budget)
+            proved = exhausted = 0
+            for i in range(1, self.program.n_defaults + 1):
+                got = session.prereq_proved(i)
+                if got is ProofOutcome.PROVED:
+                    proved |= 1 << (i - 1)
+                elif got is ProofOutcome.BUDGET_EXHAUSTED:
+                    exhausted |= 1 << (i - 1)
+            refuted, undecided = _refuted(self.program, session)
+            row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided))
+            self.store[applied] = row
+        return row
 
-    def session(self, stage: frozenset[int]) -> CandidateQuerySession:
-        return self._entry(stage)[0]
-
-    def prereq_proved(self, stage: frozenset[int], i: int) -> ProofOutcome:
-        session, outcomes = self._entry(stage)
-        got = outcomes.get(i)
+    def consistency(self, applied: frozenset[int]) -> ProofOutcome:
+        """NOT_PROVED iff the theory `applied` spans is satisfiable."""
+        got = self.cons.get(applied)
         if got is None:
-            got = outcomes[i] = session.prereq_proved(i)
+            got = CandidateQuerySession(self.program, applied, self.budget).consistent()
+            self.cons[applied] = got
         return got
 
+    def consistent(self, applied: frozenset[int]) -> bool:
+        """Whether the candidate theory is satisfiable; budget hits count as no."""
+        return self.consistency(applied) is ProofOutcome.NOT_PROVED
 
-def _staged_fixpoint(program: ClauseProgram, justif_ok: list[bool],
-                     stages: _StageMemo) -> tuple[frozenset[int], ...]:
-    """Admission stages from the empty set up to the fixpoint."""
-    stage: frozenset[int] = frozenset()
+
+def _staged_fixpoint(admissible: int, cache: _VerdictCache) -> tuple[frozenset[int], ...]:
+    """Admission stages from the empty set up to the fixpoint, admitting
+    only the rules of the `admissible` mask."""
+    stage, mask = frozenset(), 0
     trace = [stage]
     while True:
-        grown = set(stage)
-        for i in range(1, program.n_defaults + 1):
-            if i in grown or not justif_ok[i - 1]:
-                continue
-            got = stages.prereq_proved(stage, i)
-            if got is ProofOutcome.BUDGET_EXHAUSTED:
-                raise _Undecided("prerequisite of rule %d not decided within budget" % i)
-            if got is ProofOutcome.PROVED:
-                grown.add(i)
-        if len(grown) == len(stage):
+        todo = admissible & ~mask
+        if not todo:
             return tuple(trace)
-        stage = frozenset(grown)
+        proved, exhausted = cache.verdicts(stage)[:2]
+        stuck = exhausted & todo
+        if stuck:
+            raise _Undecided("prerequisite of rule %d not decided within budget"
+                             % (stuck & -stuck).bit_length())
+        grown = proved & todo
+        if not grown:
+            return tuple(trace)
+        mask |= grown
+        stage = _rules(mask)
         trace.append(stage)
 
 
@@ -145,7 +172,7 @@ def _rules_word(indices) -> str:
 
 def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDGET,
            program: ClauseProgram | None = None,
-           _stages: _StageMemo | None = None) -> ExtensionCertificate | Rejection:
+           _cache: _VerdictCache | None = None) -> ExtensionCertificate | Rejection:
     """Certify or reject the candidate theory named by a chromosome.
 
     The applied set is accepted exactly when it equals its own staged
@@ -164,12 +191,16 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
     if any(bit not in (0, 1) for bit in chromosome):
         raise ValueError("chromosome bits must be 0 or 1")
-    stages = _stages if _stages is not None else _StageMemo(program, budget)
+    cache = _cache if _cache is not None else _VerdictCache(program, budget)
     applied = applied_indices(chromosome)
     full = CandidateQuerySession(program, applied, budget)
+    refuted, undecided = _refuted(program, full)
+    if undecided:
+        i, j = undecided[0]
+        return Rejection("undecided",
+                         "justification %d of rule %d not decided within budget" % (j, i))
     try:
-        justif_ok = _justifications_ok(program, full)
-        trace = _staged_fixpoint(program, justif_ok, stages)
+        trace = _staged_fixpoint(((1 << n) - 1) & ~refuted, cache)
     except _Undecided as stop:
         return Rejection("undecided", str(stop))
     fixpoint = trace[-1]
@@ -184,12 +215,11 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
 
     missing = applied - fixpoint
     extra = fixpoint - applied
-    blocked = sorted(i for i in missing if not justif_ok[i - 1])
+    blocked = sorted(i for i in missing if refuted >> (i - 1) & 1)
     if blocked:
         if not consistent:
-            wsat = stages.session(frozenset()).consistent()
             about_w = "; the certain knowledge itself is inconsistent" \
-                if wsat is ProofOutcome.PROVED else ""
+                if cache.consistency(frozenset()) is ProofOutcome.PROVED else ""
             return Rejection("inconsistent",
                              "the candidate theory is inconsistent, refuting the "
                              "justifications of applied %s%s"
@@ -237,12 +267,11 @@ def enumerate_extensions(theory: DefaultTheory,
     n = program.n_defaults
     if n > 12:
         raise ValueError("exhaustive enumeration is limited to 12 rules, got %d" % n)
-    stages = _StageMemo(program, budget)
+    cache = _VerdictCache(program, budget)
     found: list[ExtensionCertificate] = []
     for mask in range(1 << n):
-        applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        got = verify(theory, chromosome_from_applied(n, applied), budget, program=program,
-                     _stages=stages)
+        got = verify(theory, chromosome_from_applied(n, _rules(mask)), budget,
+                     program=program, _cache=cache)
         if isinstance(got, ExtensionCertificate):
             found.append(got)
     found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from gadel.bench import (batch_stats, build_hamiltonian, build_nixon,
                          build_people, complete_arcs, run_batch,
                          two_loops_demo)
@@ -16,7 +18,7 @@ from gadel.engine import (GaParams, PenaltyTable, UNIT_PENALTIES,
 from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
 from gadel.program import active_clauses, applied_indices, compile_theory
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                          ProofOutcome, oracle_entails)
+                          ProofOutcome, truth_table_unsat)
 from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
@@ -83,7 +85,7 @@ def test_criterion_1_prover_matches_oracle():
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             hits += 1
             continue
-        if (got is ProofOutcome.PROVED) != oracle_entails(active, program.atom_count):
+        if (got is ProofOutcome.PROVED) != truth_table_unsat(active, program.atom_count):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     detail = ("%d guarded queries (%d with disjunctive clauses), %d oracle "
@@ -219,6 +221,7 @@ FACT_SETS = [("boy", ("boy",)), ("girl", ("girl",)), ("man", ("man",)),
              ("woman+student", ("woman", "student"))]
 
 
+@pytest.mark.slow
 def test_criterion_4_people_benchmark():
     # restart_after=500 (that is, off): the compound fact sets need one
     # long run, not windows of six generations
@@ -239,6 +242,7 @@ def test_criterion_4_people_benchmark():
     _verdict(4, ok, "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_5_fast_convergence_histogram():
     params = GaParams(population_size=153, crossover_rate=0.8,
                       mutation_rate=0.1, max_generations=500, restart_after=6)

@@ -193,6 +193,13 @@ def test_clause_blowup_is_a_usage_error(tmp_path, capsys):
     dnf.write_text("w: " + " || ".join("a%d && b%d" % (k, k) for k in range(16)) + ".\n")
     assert main(["check", "--applied", "", str(dnf)]) == 2
     assert "more than %d clauses" % MAX_CLAUSES in capsys.readouterr().err
+    # D0 && ... && D7, each Dk a 12-pair DNF of 2^12 clauses: no single
+    # product passes the cap, but the conjunction has 32,768 clauses
+    dnfs = ["(%s)" % " || ".join("a%d_%d && b%d_%d" % (k, p, k, p) for p in range(12))
+            for k in range(8)]
+    dnf.write_text("w: " + " && ".join(dnfs) + ".\n")
+    assert main(["check", "--applied", "", str(dnf)]) == 2
+    assert "more than %d clauses" % MAX_CLAUSES in capsys.readouterr().err
 
 
 def test_module_entry_point(nixon_file):

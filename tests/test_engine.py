@@ -141,15 +141,17 @@ def test_fitness_rejects_wrong_length():
         fitness(prog, (1, 0, 0))
 
 
-def test_fitness_report_per_rule_detail():
-    t = parse_theory("w: a.\nd: a : b / c.\nd: e : f / g.")
-    rep = fit(t, {1})
-    assert rep.total == 0.0
-    assert rep.per_rule == (
-        (1, (1, 0), True, False, 0.0),
-        (2, (0, 0), False, False, 0.0),
-    )
-    assert not rep.hit_budget
+def test_fitness_report_applied():
+    t = parse_theory("w: a.\nd: a : b / c.\nd: e : !c / f.")
+    prog = compile_theory(t)
+    cache = _VerdictCache(prog, DEFAULT_BUDGET)
+    rep = fitness(prog, (1, 0, 1, 1), _cache=cache)
+    assert rep.total == 0.0 and not rep.hit_budget
+    assert rep.applied == frozenset({1})
+    # the row behind it: rule 1's prerequisite proved (bit 0), nothing left
+    # undecided, rule 2's justification !c refuted by c (bit 1), no budget hits
+    assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, 0)
+    assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == frozenset({2})
 
 
 def test_ga_params_validation():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Clause, Default,
+from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Default,
                             Not, Or, ParseError, atoms_of, conj, disj, evaluate,
                             format_formula, format_theory, make_theory,
                             negate_to_cnf, parse_theory, tautology, to_cnf)
@@ -204,11 +204,3 @@ def test_format_theory_round_trip():
     again = parse_theory(format_theory(th))
     assert again.world == th.world
     assert again.defaults == th.defaults
-    assert format_theory(th, header="two\nlines").startswith("# two\n# lines\n")
-
-
-def test_clause_render():
-    names = ["a", "b", "c"]
-    assert Clause(frozenset((0, 2)), frozenset((1,))).render(names) == "a;c :- b"
-    assert Clause(frozenset(), frozenset((0,))).render(names) == "false :- a"
-    assert Clause(frozenset((1,)), frozenset()).render(names) == "b"

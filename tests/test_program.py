@@ -11,7 +11,14 @@ from gadel.program import (active_clauses, applied_indices,
 
 
 def rendered(clauses, program):
-    return sorted(c.render(list(program.atom_names)) for c in clauses)
+    """Each clause as "h1;h2 :- b1,b2" over atom names, sorted."""
+    names = program.atom_names
+    out = []
+    for c in clauses:
+        heads = ";".join(names[h] for h in sorted(c.heads)) or "false"
+        body = ",".join(names[b] for b in sorted(c.body))
+        out.append(heads + " :- " + body if body else heads)
+    return sorted(out)
 
 
 def test_compile_single_default():

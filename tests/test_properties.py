@@ -1,5 +1,7 @@
 """Property tests: the prover session against the truth table and the
-raw-clause reference path, on random clause programs."""
+raw-clause reference path, on random clause programs; the verifier with a
+verdict store the search filled, against a fresh store and exhaustive
+enumeration, on random default theories."""
 
 import pytest
 
@@ -7,10 +9,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gadel.formulas import Atom, Clause, Not, conj, disj, make_theory
+from gadel.engine import fitness
+from gadel.formulas import And, Atom, Clause, Not, Or, conj, disj, make_theory
 from gadel.program import active_clauses, chromosome_from_applied, compile_theory
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                           ProofOutcome, refute_clauses, truth_table_unsat)
+from gadel.verifier import (ExtensionCertificate, _VerdictCache, enumerate_extensions,
+                            verify)
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -53,3 +58,39 @@ def test_session_matches_reference_and_truth_table(budget, case):
         assert got is refute_clauses(clauses, budget)
         if got is not ProofOutcome.BUDGET_EXHAUSTED:
             assert (got is ProofOutcome.PROVED) == truth_table_unsat(clauses, program.atom_count)
+
+
+formula_trees = st.recursive(
+    st.sampled_from("abcd").map(Atom),
+    lambda sub: st.one_of(sub.map(Not), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+    max_leaves=4)
+
+
+@st.composite
+def default_theories(draw):
+    """A theory of at most 5 rules over at most 4 atoms."""
+    world = draw(st.lists(formula_trees, max_size=2))
+    rule = st.tuples(formula_trees, st.lists(formula_trees, max_size=2), formula_trees)
+    rules = draw(st.lists(rule, min_size=1, max_size=5))
+    return make_theory(world, rules)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
+@given(theory=default_theories())
+def test_verify_with_search_filled_store(budget, theory):
+    program = compile_theory(theory)
+    n = program.n_defaults
+    store = _VerdictCache(program, budget)
+    for bits in range(1 << 2 * n):  # every chromosome, as the search would score it
+        chrom = tuple(bits >> k & 1 for k in range(2 * n))
+        fitness(program, chrom, budget=budget, _cache=store)
+    certified = set()
+    for mask in range(1 << n):
+        applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
+        chrom = chromosome_from_applied(n, applied)
+        got = verify(theory, chrom, budget, program=program, _cache=store)
+        assert got == verify(theory, chrom, budget, program=program,
+                             _cache=_VerdictCache(program, budget))
+        if isinstance(got, ExtensionCertificate):
+            certified.add(got.applied)
+    assert certified == {c.applied for c in enumerate_extensions(theory, budget)}

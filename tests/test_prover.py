@@ -139,7 +139,8 @@ def test_prereq_and_justification_queries():
 
 def test_session_rejects_out_of_range_indices():
     th = parse_theory("w: a.\nd: a : b / c.\nd: c : !a / d.\n")
-    session = CandidateQuerySession(compile_theory(th), frozenset())
+    program = compile_theory(th)
+    session = CandidateQuerySession(program, frozenset())
     for i in (0, -1, 3):
         with pytest.raises(IndexError):
             session.prereq_proved(i)
@@ -148,6 +149,9 @@ def test_session_rejects_out_of_range_indices():
     for j in (0, -1, 2):
         with pytest.raises(IndexError):
             session.justification_refuted(1, j)
+    for aid in (-1, program.atom_count, 100):
+        with pytest.raises(IndexError):
+            session.entails_atom(aid)
 
 
 # satisfiable, yet backward chaining with case splits needs 78 splits to

@@ -10,8 +10,8 @@ from gadel.formulas import (And, Atom, Not, Or, make_theory, negate_to_cnf,
 from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
 from gadel.program import active_clauses, chromosome_from_applied, compile_theory
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome,
-                          oracle_entails)
-from gadel.verifier import (ExtensionCertificate, Rejection, _StageMemo, certificate_json,
+                          truth_table_unsat)
+from gadel.verifier import (ExtensionCertificate, Rejection, _VerdictCache, certificate_json,
                             enumerate_extensions, verify)
 
 
@@ -149,7 +149,7 @@ def _same_theory(program, theory, a, b):
         base = active_clauses(program, chrom)
         for i in sorted(other):
             goal = negate_to_cnf(theory.defaults[i - 1].consequent, theory.atoms)
-            if not oracle_entails(base + list(goal), program.atom_count):
+            if not truth_table_unsat(base + list(goal), program.atom_count):
                 return False
     return True
 
@@ -224,39 +224,75 @@ def test_random_normal_theories_have_extensions():
 CASE_SPLIT = "w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e."
 
 
+def fresh_row(program, applied, budget):
+    """(proved, exhausted, refuted, budget hits) asked of a new session, rule
+    by rule; a rule's justifications are asked until one is refuted."""
+    session = CandidateQuerySession(program, applied, budget)
+    proved = exhausted = refuted = hits = 0
+    for i in range(1, program.n_defaults + 1):
+        got = session.prereq_proved(i)
+        if got is ProofOutcome.PROVED:
+            proved |= 1 << (i - 1)
+        elif got is ProofOutcome.BUDGET_EXHAUSTED:
+            exhausted |= 1 << (i - 1)
+            hits += 1
+        for j in range(1, program.justification_count(i) + 1):
+            got = session.justification_refuted(i, j)
+            if got is ProofOutcome.PROVED:
+                refuted |= 1 << (i - 1)
+                break
+            hits += got is ProofOutcome.BUDGET_EXHAUSTED
+    return proved, exhausted, refuted, hits
+
+
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
                          ids=["default", "tiny"])
 def test_shared_stage_verdicts_change_no_answer(budget):
-    # every candidate verified with one stage memo per theory gets exactly
-    # the certificate or rejection it gets from a fresh memo
+    # every candidate verified with one verdict store per theory gets exactly
+    # the certificate or rejection it gets from a fresh store
     rng = random.Random(53)
     theories = [build_nixon(), build_hamiltonian(3, complete_arcs(3)), two_loops_demo(),
                 build_hamiltonian(2, complete_arcs(2)), parse_theory(CASE_SPLIT)]
     theories += [_normal_theory(rng) for _ in range(30)]
     reasons = set()
-    entries = candidates = 0
-    memoized = set()  # outcomes held in the memos, budget exhaustion included
+    rows = candidates = 0
+    exhausted = 0  # prerequisites the stored rows leave undecided
     for theory in theories:
         prog = compile_theory(theory)
         n = prog.n_defaults
-        stages = _StageMemo(prog, budget)
+        cache = _VerdictCache(prog, budget)
         for mask in range(1 << n):
             chrom = chromosome_from_applied(n, {i + 1 for i in range(n) if mask >> i & 1})
-            shared = verify(theory, chrom, budget, program=prog, _stages=stages)
+            shared = verify(theory, chrom, budget, program=prog, _cache=cache)
             assert shared == verify(theory, chrom, budget, program=prog)
             reasons.add(getattr(shared, "reason", "certified"))
-        entries += len(stages.stages)
+        rows += len(cache.store)
         candidates += 1 << n
-        # each shared outcome is what a fresh session on its stage set answers
-        for stage, (_session, outcomes) in stages.stages.items():
-            fresh = CandidateQuerySession(prog, stage, budget)
-            for i, got in outcomes.items():
-                assert got is fresh.prereq_proved(i)
-                memoized.add(got)
-    # the memo keeps stage sets only, not one entry per candidate
-    assert 4 * entries < candidates
+        # each stored row is what a fresh session on its stage set answers
+        for stage, row in cache.store.items():
+            assert row == fresh_row(prog, stage, budget)
+            exhausted |= row[1]
+    # the store keeps stage sets only, not one row per candidate
+    assert 4 * rows < candidates
     assert {"certified", "missing-applicable", "ungrounded"} <= reasons
     if budget.max_splits == 1:
-        # a shared BUDGET_EXHAUSTED stage outcome still rejects as undecided
-        assert ProofOutcome.BUDGET_EXHAUSTED in memoized and "undecided" in reasons
+        # a stored BUDGET_EXHAUSTED prerequisite still rejects as undecided
+        assert exhausted and "undecided" in reasons
 
+
+def test_store_keeps_no_row_for_a_finished_stage():
+    # rules ": !x(i+1) / x(i)" around a ring of 6: every prerequisite holds at
+    # once, so each candidate admits all its admissible rules in one stage and
+    # only the empty stage needs a row, however many candidates share the store
+    ring = make_theory([], [(tautology(), [Not(Atom("x%d" % (i % 6 + 1)))], Atom("x%d" % i))
+                            for i in range(1, 7)])
+    prog = compile_theory(ring)
+    cache = _VerdictCache(prog, DEFAULT_BUDGET)
+    certified = set()
+    for mask in range(1 << 6):
+        applied = {i + 1 for i in range(6) if mask >> i & 1}
+        got = verify(ring, chromosome_from_applied(6, applied), program=prog, _cache=cache)
+        if isinstance(got, ExtensionCertificate):
+            certified.add(got.applied)
+    assert certified == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
+    assert list(cache.store) == [frozenset()]
