@@ -11,10 +11,10 @@ can support each other without being derivable from the certain knowledge,
 so every zero-fitness candidate is handed to the fixed-point verifier and
 only a certified candidate ends the search.
 
-The prover verdicts behind a fitness depend only on the applied set, so a
-search keeps them in one `verifier._VerdictCache`: a row of rule masks per
-applied set, read bit by bit here, and a consistency outcome per applied
-set.  The verifier reads its stage sets' rows from the same store.
+An applied set is a rule mask, bit i-1 for rule i.  The prover verdicts
+behind a fitness depend only on it, so a search keeps them in one
+`verifier._VerdictCache` keyed by the mask (a row of rule masks, read bit
+by bit here, and a consistency outcome); the verifier's stages read it too.
 
 The population is a set of distinct chromosomes, evaluated in sorted
 order.  Each generation selects parents from the ranking, breeds offspring
@@ -50,8 +50,7 @@ import random
 from dataclasses import dataclass
 
 from .formulas import DefaultTheory
-from .program import (Chromosome, ClauseProgram, applied_indices,
-                      chromosome_from_applied, gene_pair)
+from .program import Chromosome, ClauseProgram, chromosome_from_mask, gene_masks
 from .prover import DEFAULT_BUDGET, ProofBudget
 from .verifier import ExtensionCertificate, Rejection, _VerdictCache, verify
 
@@ -103,7 +102,7 @@ def pair_penalty(table: PenaltyTable, pair: tuple[int, int],
 class FitnessReport:
     chromosome: Chromosome
     total: float
-    applied: frozenset[int]
+    applied: int  # rule mask, bit i-1 for rule i
     budget_hits: int
 
     @property
@@ -119,14 +118,21 @@ def fitness(program: ClauseProgram, chromosome: Chromosome,
     if len(chromosome) != 2 * program.n_defaults:
         raise ValueError("chromosome length %d, expected %d"
                          % (len(chromosome), 2 * program.n_defaults))
+    first, second = gene_masks(chromosome)
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
-    applied = applied_indices(chromosome)
-    proved, _exhausted, refuted, hits = cache.verdicts(applied)
+    row = cache.verdicts(first & ~second)
+    return FitnessReport(chromosome, _penalty(table, program.n_defaults, first, second, row),
+                         first & ~second, row[3])
+
+
+def _penalty(table: PenaltyTable, n: int, first: int, second: int, row) -> float:
+    """Rule-order sum of pair_penalty over gene masks, given their applied set's row."""
+    proved, _exhausted, refuted, _hits = row
     total = 0.0
-    for i in range(program.n_defaults):
-        total += pair_penalty(table, gene_pair(chromosome, i + 1),
+    for i in range(n):
+        total += pair_penalty(table, (first >> i & 1, second >> i & 1),
                               proved >> i & 1, refuted >> i & 1)
-    return FitnessReport(chromosome, total, applied, hits)
+    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,36 +228,32 @@ def _next_population(selected: list[Chromosome], n_defaults: int, params: GaPara
     return population
 
 
-def _descend(program: ClauseProgram, start: frozenset[int], table: PenaltyTable,
-             budget: ProofBudget, cache: _VerdictCache) -> frozenset[int]:
-    """Steepest single-toggle walk downhill from an applied set.
+def _descend(program: ClauseProgram, start: int, table: PenaltyTable,
+             cache: _VerdictCache) -> int:
+    """Steepest single-toggle walk downhill from an applied mask.
 
     Moves toggle one rule in or out and only satisfiable neighbours are
     eligible, so the walk cannot fall into the cheap inconsistent states
     the selection reserve exists for.  Equal-penalty moves are allowed
     (narrow ridges separate many near-extensions from the real one), a
     visited set stops cycling and the step cap bounds plateau wandering;
-    the best state seen is returned.
+    the best state seen is returned.  A state scores as the chromosome with
+    gene pair (1,0) on its rules and (0,0) elsewhere.
     """
     n = program.n_defaults
-
-    def total_of(applied: frozenset[int]) -> float:
-        chrom = chromosome_from_applied(n, applied)
-        return fitness(program, chrom, table, budget, _cache=cache).total
-
     cur = start
-    cur_total = total_of(cur)
+    cur_total = _penalty(table, n, cur, 0, cache.verdicts(cur))
     best, best_total = cur, cur_total
     visited = {cur}
     for _ in range(2 * n):
         if best_total == 0:
             break
         choice = None
-        for i in range(1, n + 1):
-            trial = cur ^ {i}
+        for i in range(n):
+            trial = cur ^ (1 << i)
             if trial in visited or not cache.consistent(trial):
                 continue
-            t = total_of(trial)
+            t = _penalty(table, n, trial, 0, cache.verdicts(trial))
             if t <= cur_total + 1e-12 and (choice is None or t < choice[0] - 1e-12):
                 choice = (t, trial)
         if choice is None:
@@ -275,7 +277,7 @@ def _select_parents(reports: list[FitnessReport], keep: int,
     """
     chosen: list[Chromosome] = []
     taken: set[Chromosome] = set()
-    seen: set[frozenset[int]] = set()
+    seen: set[int] = set()
     reserve = (keep + 1) // 2
     for rep in reports:
         if len(chosen) >= reserve:
@@ -328,8 +330,8 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     rejected = 0
     reasons: dict[str, int] = {}
     # verdict of verify() depends only on the applied set, so memoize it
-    checked: dict[frozenset[int], ExtensionCertificate | Rejection] = {}
-    descended: set[frozenset[int]] = set()
+    checked: dict[int, ExtensionCertificate | Rejection] = {}
+    descended: set[int] = set()
     best: FitnessReport | None = None
 
     while generations < params.max_generations:
@@ -338,17 +340,13 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
                    for chrom in sorted(population)]
         reports.sort(key=lambda r: (r.total, r.chromosome))
         # polish the best satisfiable candidate, once per distinct start
-        start = None
-        for rep in reports:
-            if cache.consistent(rep.applied):
-                start = rep.applied
-                break
+        start = next((r.applied for r in reports if cache.consistent(r.applied)), None)
         if start is not None and start not in descended:
             descended.add(start)
-            polished = _descend(program, start, table, budget, cache)
+            polished = _descend(program, start, table, cache)
             descended.add(polished)
             if polished != start:
-                chrom = chromosome_from_applied(n, polished)
+                chrom = chromosome_from_mask(n, polished)
                 reports.append(fitness(program, chrom, table, budget, _cache=cache))
                 reports.sort(key=lambda r: (r.total, r.chromosome))
         if best is None or reports[0].total < best.total:

@@ -91,17 +91,6 @@ def atoms_of(f: Formula) -> set[str]:
     return atoms_of(f.left) | atoms_of(f.right)
 
 
-def evaluate(f: Formula, assignment: dict[str, bool]) -> bool:
-    """Truth value of f under a total assignment of its atoms."""
-    if isinstance(f, Atom):
-        return assignment[f.name]
-    if isinstance(f, Not):
-        return not evaluate(f.operand, assignment)
-    if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
-    return evaluate(f.left, assignment) or evaluate(f.right, assignment)
-
-
 def tautology(name: str = "true_") -> Formula:
     """A fixed tautology, used as the prerequisite of rules that need none."""
     a = Atom(name)
@@ -219,25 +208,14 @@ def make_theory(world, defaults) -> DefaultTheory:
     Structural duplicates collapse (a theory is a pair of sets even though
     defaults keep their list order); indices are assigned 1..n afterwards.
     """
+    w_out = tuple(dict.fromkeys(world))
+    triples = dict.fromkeys((pre, tuple(justs), cons) for pre, justs, cons in defaults)
+    d_out = tuple(Default(k, *triple) for k, triple in enumerate(triples, 1))
     table = AtomTable()
-    w_out: list[Formula] = []
-    for f in world:
-        if f not in w_out:
-            w_out.append(f)
+    for f in (*w_out, *(f for pre, justs, cons in triples for f in (pre, *justs, cons))):
         for a in sorted(atoms_of(f)):
             table.intern(a)
-    triples: list[tuple] = []
-    d_out: list[Default] = []
-    for pre, justs, cons in defaults:
-        triple = (pre, tuple(justs), cons)
-        if triple in triples:
-            continue
-        triples.append(triple)
-        d_out.append(Default(len(d_out) + 1, pre, tuple(justs), cons))
-        for f in (pre, *justs, cons):
-            for a in sorted(atoms_of(f)):
-                table.intern(a)
-    return DefaultTheory(tuple(w_out), tuple(d_out), table)
+    return DefaultTheory(w_out, d_out, table)
 
 
 class ParseError(ValueError):

@@ -4,8 +4,8 @@ A default theory compiles once into clause groups, each saying when its
 clauses participate in a query:
 
 * world clauses are always active;
-* the clause form of consequent i is active exactly when the chromosome
-  marks rule i as applied (gene pair (1,0));
+* the clause form of consequent i is active exactly when rule i is
+  applied (gene pair (1,0));
 * the negated prerequisite of rule i is active only for the query "does
   the candidate theory entail prerequisite i";
 * the clause form of justification (i, j) is active only for the query
@@ -13,7 +13,8 @@ clauses participate in a query:
 
 Selecting groups at query time replaces re-normalizing formulas for every
 chromosome the search evaluates.  Every group is also split once, at
-compile time, into the integer masks the prover reads.
+compile time, into the integer masks the prover reads.  An applied set is
+a rule mask, bit i-1 for rule i, read off a chromosome by `gene_masks`.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from .formulas import Clause, DefaultTheory, negate_to_cnf, to_cnf
 
 Chromosome = tuple[int, ...]
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to binary digits, for gene_masks
 
 
 def split_clauses(clauses) -> tuple[tuple, tuple, tuple]:
@@ -78,32 +80,40 @@ class ClauseProgram:
         return len(self.justif[i - 1])
 
 
-def _ordered(clauses) -> tuple[Clause, ...]:
-    return tuple(sorted(clauses, key=Clause.sort_key))
+# All groups of a compiled program together stop at this many clauses; the
+# largest benchmark programs have 257 (K5) and 145 (people, man+student).
+MAX_PROGRAM_CLAUSES = 16384
 
 
 def compile_theory(theory: DefaultTheory) -> ClauseProgram:
-    """Normalize W and every rule part once, each group in Clause.sort_key order."""
+    """Normalize W and every rule part once, each group in Clause.sort_key order;
+    ValueError once the groups together pass MAX_PROGRAM_CLAUSES clauses."""
     table = theory.atoms
-    world = tuple(c for f in theory.world for c in _ordered(to_cnf(f, table)))
-    conclusion = [_ordered(to_cnf(d.consequent, table)) for d in theory.defaults]
-    prereq = [_ordered(negate_to_cnf(d.prerequisite, table)) for d in theory.defaults]
-    justif = [[_ordered(to_cnf(beta, table)) for beta in d.justifications]
+    total = 0
+
+    def ordered(clauses) -> tuple[Clause, ...]:
+        nonlocal total
+        total += len(clauses)
+        if total > MAX_PROGRAM_CLAUSES:
+            raise ValueError("theory has more than %d clauses in clause form" % MAX_PROGRAM_CLAUSES)
+        return tuple(sorted(clauses, key=Clause.sort_key))
+
+    world = tuple(c for f in theory.world for c in ordered(to_cnf(f, table)))
+    conclusion = [ordered(to_cnf(d.consequent, table)) for d in theory.defaults]
+    prereq = [ordered(negate_to_cnf(d.prerequisite, table)) for d in theory.defaults]
+    justif = [[ordered(to_cnf(beta, table)) for beta in d.justifications]
               for d in theory.defaults]
     return ClauseProgram(theory, world, conclusion, prereq, justif)
 
 
-def gene_pair(chromosome: Chromosome, i: int) -> tuple[int, int]:
-    """Gene pair of rule i (1-based): bits 2i-1 and 2i of the chromosome."""
-    return chromosome[2 * i - 2], chromosome[2 * i - 1]
-
-
-def applied_indices(chromosome: Chromosome) -> frozenset[int]:
-    """Rule indices the chromosome marks applied, i.e. gene pair (1, 0)."""
-    return frozenset(
-        i for i in range(1, len(chromosome) // 2 + 1)
-        if chromosome[2 * i - 2] == 1 and chromosome[2 * i - 1] == 0
-    )
+def gene_masks(chromosome: Chromosome) -> tuple[int, int]:
+    """Rule masks (first, second) of the gene pairs: bit i-1 of each holds one
+    bit of rule i's pair, so the applied set is first & ~second."""
+    if not set(chromosome) <= {0, 1}:
+        raise ValueError("chromosome bits must be 0 or 1")
+    # one digit per bit, read backwards from the last pair: rule n's bit leads
+    digits = bytes(chromosome).translate(_DIGITS)
+    return int(digits[-2::-2] or b"0", 2), int(digits[::-2] or b"0", 2)
 
 
 def chromosome_from_applied(n_defaults: int, applied) -> Chromosome:
@@ -113,20 +123,10 @@ def chromosome_from_applied(n_defaults: int, applied) -> Chromosome:
     if stray:
         raise ValueError("default indices out of range 1..%d: %s"
                          % (n_defaults, sorted(stray)))
-    bits = []
-    for i in range(1, n_defaults + 1):
-        bits.extend((1, 0) if i in applied else (0, 0))
-    return tuple(bits)
+    return chromosome_from_mask(n_defaults, sum(1 << (i - 1) for i in applied))
 
 
-def active_clauses(program: ClauseProgram, chromosome: Chromosome) -> list[Clause]:
-    """The candidate theory's clauses: world, then each applied consequent, in rule order."""
-    if len(chromosome) != 2 * program.n_defaults:
-        raise ValueError(
-            "chromosome length %d, expected %d" % (len(chromosome), 2 * program.n_defaults)
-        )
-    out = list(program.world)
-    for i in range(1, program.n_defaults + 1):
-        if gene_pair(chromosome, i) == (1, 0):
-            out.extend(program.conclusion[i - 1])
-    return out
+def chromosome_from_mask(n_defaults: int, applied: int) -> Chromosome:
+    """Chromosome with gene pair (1,0) on the rules of a rule mask, (0,0) elsewhere."""
+    # from a list: tuple() over a generator resizes, and resized tuples pile up on a free list
+    return tuple([b for i in range(n_defaults) for b in (applied >> i & 1, 0)])

@@ -39,7 +39,6 @@ rather than guessing.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 from .program import ClauseProgram, split_clauses
@@ -235,34 +234,3 @@ class CandidateQuerySession:
         if not 0 <= aid < self.program.atom_count:
             raise IndexError("no atom with id %d" % aid)
         return _decide(self._base, (), (1 << aid,), (), self.budget)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-
-
-def truth_table_unsat(clauses, atom_count: int) -> bool:
-    """Exhaustive-assignment unsatisfiability check, independent of the engine.
-
-    Only atoms that occur in the clauses are enumerated, but the declared
-    atom count is capped to keep accidental blowups loud.
-    """
-    if atom_count > 24:
-        raise ValueError("truth-table oracle capped at 24 atoms, got %d" % atom_count)
-    clauses = list(clauses)
-    occurring = sorted({a for c in clauses for a in c.heads | c.body})
-    if any(a >= atom_count for a in occurring):
-        raise ValueError("clause mentions an atom id beyond atom_count")
-    for values in itertools.product((False, True), repeat=len(occurring)):
-        v = dict(zip(occurring, values))
-        ok = True
-        for c in clauses:
-            if any(v[h] for h in c.heads):
-                continue
-            if any(not v[b] for b in c.body):
-                continue
-            ok = False
-            break
-        if ok:
-            return False
-    return True

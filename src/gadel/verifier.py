@@ -17,17 +17,18 @@ different certified sets always span different extensions.  This is why
 `enumerate_extensions` visits each extension exactly once and needs no
 deduplication.
 
-`_VerdictCache` is the one store of prover verdicts.  The theory an
+An applied set, a stage included, is a rule mask with bit i-1 for rule i
+(`program.gene_masks`); it becomes a set of indices only to open a prover
+session and in a certificate or a rejection's text.  `_VerdictCache` is
+the one store of prover verdicts, keyed by that mask.  The theory an
 applied set spans, and so every answer about it, depends only on that set
-(and the program and budget).  A row holds, per applied set, three rule
-masks with bit i-1 for rule i (prerequisite proved, prerequisite left
-undecided by the budget, some justification refuted) and the number of
-budget hits.  The search scores a chromosome from the row of its applied
-set, and a stage of the staged closure is an applied set too, so its
-admissions come from the same rows; the stages of many candidates pass
-through the same few sets.  A stored row is what a fresh session gives,
-budget exhaustion included, so sharing it changes no score, certificate
-or rejection.
+(and the program and budget).  A row holds three rule masks (prerequisite
+proved, prerequisite left undecided by the budget, some justification
+refuted) and the number of budget hits.  The search scores a chromosome
+from the row of its applied set, and the staged closure admits rules from
+its stages' rows; the stages of many candidates pass through the same few
+sets.  A stored row is what a fresh session gives, budget exhaustion
+included, so sharing it changes no score, certificate or rejection.
 
 `verify` answers its own candidate's justifications, consistency and atoms
 from a session of its own and never stores that candidate's row: an
@@ -43,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import DefaultTheory
-from .program import (ClauseProgram, applied_indices, chromosome_from_applied,
-                      compile_theory)
+from .program import ClauseProgram, chromosome_from_mask, compile_theory, gene_masks
 from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 
 
@@ -90,20 +90,20 @@ def _refuted(program: ClauseProgram,
 
 
 class _VerdictCache:
-    """Verdict rows and consistency outcomes per applied set, shared by every
-    candidate of one program and budget."""
+    """Verdict rows and consistency outcomes per applied rule mask, shared by
+    every candidate of one program and budget."""
 
     def __init__(self, program: ClauseProgram, budget: ProofBudget):
         self.program = program
         self.budget = budget
-        self.store: dict[frozenset[int], tuple[int, int, int, int]] = {}
-        self.cons: dict[frozenset[int], ProofOutcome] = {}
+        self.store: dict[int, tuple[int, int, int, int]] = {}
+        self.cons: dict[int, ProofOutcome] = {}
 
-    def verdicts(self, applied: frozenset[int]) -> tuple[int, int, int, int]:
+    def verdicts(self, applied: int) -> tuple[int, int, int, int]:
         """(proved, exhausted, refuted, budget hits) of the theory `applied` spans."""
         row = self.store.get(applied)
         if row is None:
-            session = CandidateQuerySession(self.program, applied, self.budget)
+            session = CandidateQuerySession(self.program, _rules(applied), self.budget)
             proved = exhausted = 0
             for i in range(1, self.program.n_defaults + 1):
                 got = session.prereq_proved(i)
@@ -116,39 +116,33 @@ class _VerdictCache:
             self.store[applied] = row
         return row
 
-    def consistency(self, applied: frozenset[int]) -> ProofOutcome:
+    def consistency(self, applied: int) -> ProofOutcome:
         """NOT_PROVED iff the theory `applied` spans is satisfiable."""
         got = self.cons.get(applied)
         if got is None:
-            got = CandidateQuerySession(self.program, applied, self.budget).consistent()
+            got = CandidateQuerySession(self.program, _rules(applied), self.budget).consistent()
             self.cons[applied] = got
         return got
 
-    def consistent(self, applied: frozenset[int]) -> bool:
+    def consistent(self, applied: int) -> bool:
         """Whether the candidate theory is satisfiable; budget hits count as no."""
         return self.consistency(applied) is ProofOutcome.NOT_PROVED
 
 
-def _staged_fixpoint(admissible: int, cache: _VerdictCache) -> tuple[frozenset[int], ...]:
-    """Admission stages from the empty set up to the fixpoint, admitting
-    only the rules of the `admissible` mask."""
-    stage, mask = frozenset(), 0
-    trace = [stage]
-    while True:
-        todo = admissible & ~mask
-        if not todo:
-            return tuple(trace)
-        proved, exhausted = cache.verdicts(stage)[:2]
+def _staged_fixpoint(admissible: int, cache: _VerdictCache) -> list[int]:
+    """Stage masks from the empty set up to the fixpoint, admitting only the
+    rules of the `admissible` mask."""
+    trace = [0]
+    while todo := admissible & ~trace[-1]:
+        proved, exhausted = cache.verdicts(trace[-1])[:2]
         stuck = exhausted & todo
         if stuck:
             raise _Undecided("prerequisite of rule %d not decided within budget"
                              % (stuck & -stuck).bit_length())
-        grown = proved & todo
-        if not grown:
-            return tuple(trace)
-        mask |= grown
-        stage = _rules(mask)
-        trace.append(stage)
+        if not proved & todo:
+            break
+        trace.append(trace[-1] | proved & todo)
+    return trace
 
 
 def _derived_atoms(program: ClauseProgram,
@@ -165,9 +159,9 @@ def _derived_atoms(program: ClauseProgram,
     return tuple(sorted(names))
 
 
-def _rules_word(indices) -> str:
-    return "rule%s %s" % ("" if len(indices) == 1 else "s",
-                          ", ".join(str(i) for i in sorted(indices)))
+def _rules_word(mask: int) -> str:
+    indices = sorted(_rules(mask))
+    return "rule%s %s" % ("" if len(indices) == 1 else "s", ", ".join(map(str, indices)))
 
 
 def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDGET,
@@ -189,11 +183,10 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     n = program.n_defaults
     if len(chromosome) != 2 * n:
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
-    if any(bit not in (0, 1) for bit in chromosome):
-        raise ValueError("chromosome bits must be 0 or 1")
+    first, second = gene_masks(chromosome)
+    applied = first & ~second
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
-    applied = applied_indices(chromosome)
-    full = CandidateQuerySession(program, applied, budget)
+    full = CandidateQuerySession(program, _rules(applied), budget)
     refuted, undecided = _refuted(program, full)
     if undecided:
         i, j = undecided[0]
@@ -210,16 +203,15 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     consistent = sat is ProofOutcome.NOT_PROVED
 
     if fixpoint == applied:
-        atoms = _derived_atoms(program, full)
-        return ExtensionCertificate(applied, trace, True, consistent, atoms)
+        return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
+                                    consistent, _derived_atoms(program, full))
 
-    missing = applied - fixpoint
-    extra = fixpoint - applied
-    blocked = sorted(i for i in missing if refuted >> (i - 1) & 1)
+    missing = applied & ~fixpoint
+    blocked = missing & refuted
     if blocked:
         if not consistent:
             about_w = "; the certain knowledge itself is inconsistent" \
-                if cache.consistency(frozenset()) is ProofOutcome.PROVED else ""
+                if cache.consistency(0) is ProofOutcome.PROVED else ""
             return Rejection("inconsistent",
                              "the candidate theory is inconsistent, refuting the "
                              "justifications of applied %s%s"
@@ -228,11 +220,8 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
                          "the candidate theory refutes a justification of applied %s"
                          % _rules_word(blocked))
     if missing:
-        circular = []
-        for i in sorted(missing):
-            got = full.prereq_proved(i)
-            if got is ProofOutcome.PROVED:
-                circular.append(i)
+        circular = sum(1 << (i - 1) for i in sorted(_rules(missing))
+                       if full.prereq_proved(i) is ProofOutcome.PROVED)
         if circular:
             detail = ("circular support: %s never admitted by the stages"
                       % _rules_word(circular))
@@ -241,7 +230,7 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
         return Rejection("ungrounded", detail)
     return Rejection("missing-applicable",
                      "%s applicable with respect to the candidate but not applied"
-                     % _rules_word(extra))
+                     % _rules_word(fixpoint & ~applied))
 
 
 def certificate_json(certificate: ExtensionCertificate) -> dict:
@@ -270,7 +259,7 @@ def enumerate_extensions(theory: DefaultTheory,
     cache = _VerdictCache(program, budget)
     found: list[ExtensionCertificate] = []
     for mask in range(1 << n):
-        got = verify(theory, chromosome_from_applied(n, _rules(mask)), budget,
+        got = verify(theory, chromosome_from_mask(n, mask), budget,
                      program=program, _cache=cache)
         if isinstance(got, ExtensionCertificate):
             found.append(got)

@@ -16,10 +16,10 @@ from gadel.bench import (batch_stats, build_hamiltonian, build_nixon,
 from gadel.engine import (GaParams, PenaltyTable, UNIT_PENALTIES,
                           _VerdictCache, fitness, pair_penalty)
 from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
-from gadel.program import active_clauses, applied_indices, compile_theory
-from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                          ProofOutcome, truth_table_unsat)
+from gadel.program import compile_theory
+from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
+from oracles import active_clauses, applied_rules, truth_table_unsat
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
 
@@ -80,7 +80,7 @@ def test_criterion_1_prover_matches_oracle():
         total += 1
         if any(len(c.heads) >= 2 for c in active):
             with_split += 1
-        session = CandidateQuerySession(program, applied_indices(chrom), WIDE)
+        session = CandidateQuerySession(program, applied_rules(chrom), WIDE)
         got = session.justification_refuted(i, j) if j else session.prereq_proved(i)
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             hits += 1

@@ -8,6 +8,7 @@ import pytest
 
 from gadel.cli import CSV_HEADER, main
 from gadel.formulas import MAX_CLAUSES, parse_theory
+from gadel.program import MAX_PROGRAM_CLAUSES
 from gadel.verifier import enumerate_extensions
 
 NIXON = ("w: republican.\n"
@@ -200,6 +201,20 @@ def test_clause_blowup_is_a_usage_error(tmp_path, capsys):
     dnf.write_text("w: " + " && ".join(dnfs) + ".\n")
     assert main(["check", "--applied", "", str(dnf)]) == 2
     assert "more than %d clauses" % MAX_CLAUSES in capsys.readouterr().err
+
+
+def test_theory_clause_total_is_a_usage_error(tmp_path, capsys):
+    # ten lines, each a 12-pair DNF of 4,096 clauses under the per-formula
+    # cap, would compile to 40,960 world clauses; compilation stops early
+    lines = ["w: %s.\n" % " || ".join("a%d_%d && b%d_%d" % (k, p, k, p) for p in range(12))
+             for k in range(10)]
+    path = tmp_path / "wide.dl"
+    path.write_text("".join(lines))
+    assert main(["check", "--applied", "", str(path)]) == 2
+    assert "more than %d clauses" % MAX_PROGRAM_CLAUSES in capsys.readouterr().err
+    # the same lines below the total cap compile
+    path.write_text("".join(lines[:2]) + "d: a0_0 : / c.\n")
+    assert main(["check", "--applied", "", str(path)]) == 0
 
 
 def test_module_entry_point(nixon_file):

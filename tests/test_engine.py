@@ -12,6 +12,7 @@ from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET, ProofBudget
 from gadel.engine import pair_penalty
+from gadel.verifier import verify
 
 
 # every (pair, prereq_proved, justif_refuted) cell of the penalty grid;
@@ -141,17 +142,28 @@ def test_fitness_rejects_wrong_length():
         fitness(prog, (1, 0, 0))
 
 
+def test_fitness_and_verify_reject_non_binary_bits():
+    # a bit of 2 would spill into the next rule's mask; both callers refuse it
+    t = parse_theory("w: a.\nd: a : b / c.\nd: a : / d.")
+    prog = compile_theory(t)
+    for bad in ((2, 0, 0, 0), (1, 0, 0, 2), (0, -1, 1, 0)):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            fitness(prog, bad)
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            verify(t, bad, program=prog)
+
+
 def test_fitness_report_applied():
     t = parse_theory("w: a.\nd: a : b / c.\nd: e : !c / f.")
     prog = compile_theory(t)
     cache = _VerdictCache(prog, DEFAULT_BUDGET)
     rep = fitness(prog, (1, 0, 1, 1), _cache=cache)
     assert rep.total == 0.0 and not rep.hit_budget
-    assert rep.applied == frozenset({1})
+    assert rep.applied == 0b01  # rule mask: bit 0 is rule 1
     # the row behind it: rule 1's prerequisite proved (bit 0), nothing left
     # undecided, rule 2's justification !c refuted by c (bit 1), no budget hits
     assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, 0)
-    assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == frozenset({2})
+    assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == 0b10
 
 
 def test_ga_params_validation():
@@ -217,15 +229,15 @@ def test_descend_crosses_equal_fitness_ridge():
     prog = compile_theory(t)
     cache = _VerdictCache(prog, DEFAULT_BUDGET)
     # empty and {1} both score 1.0, so only a sideways move reaches {1, 2}
-    got = _descend(prog, frozenset(), UNIT_PENALTIES, DEFAULT_BUDGET, cache)
-    assert got == frozenset({1, 2})
+    got = _descend(prog, 0, UNIT_PENALTIES, cache)
+    assert got == 0b011
 
 
 def test_descend_skips_inconsistent_neighbours():
     prog, cache, rep = select_fixture()
-    got = _descend(prog, frozenset(), UNIT_PENALTIES, DEFAULT_BUDGET, cache)
+    got = _descend(prog, 0, UNIT_PENALTIES, cache)
     # the clashing pair is never entered; the walk settles beside it
-    assert got == frozenset({1, 3})
+    assert got == 0b101
     assert cache.consistent(got)
 
 

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Default,
-                            Not, Or, ParseError, atoms_of, conj, disj, evaluate,
+                            Not, Or, ParseError, atoms_of, conj, disj,
                             format_formula, format_theory, make_theory,
                             negate_to_cnf, parse_theory, tautology, to_cnf)
+from oracles import evaluate
 
 
 def keyed(clauses):
@@ -185,6 +187,22 @@ def test_make_theory_collapses_duplicates():
     th2 = parse_theory("w: a.\nw: a.\nd: a : / b.\nd: a : / b.\n")
     assert len(th2.world) == 1
     assert len(th2.defaults) == 1
+
+
+def test_make_theory_dedup_is_not_quadratic():
+    # duplicates collapse by hashing: 16,000 distinct lines of each kind take
+    # about a second, where pairwise comparison took minutes
+    k = 16_000
+    text = ("".join("w: a%d || !b%d.\n" % (i, i) for i in range(k))
+            + "".join("d: a%d : b%d / c%d.\n" % (i, i, i) for i in range(k))
+            + "w: a0 || !b0.\nd: a1 : b1 / c1.\n")
+    t0 = time.perf_counter()
+    th = parse_theory(text)
+    assert time.perf_counter() - t0 < 30
+    assert len(th.world) == len(th.defaults) == k
+    assert th.world[0] == Or(Atom("a0"), Not(Atom("b0")))
+    assert th.defaults[1].prerequisite == Atom("a1") and th.defaults[1].index == 2
+    assert th.atoms.names[:6] == ["a0", "b0", "a1", "b1", "a2", "b2"]
 
 
 def test_format_formula_round_trip_random():

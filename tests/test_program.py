@@ -6,8 +6,9 @@ import pytest
 
 from gadel.formulas import (Atom, Clause, Not, negate_to_cnf, parse_theory,
                             to_cnf)
-from gadel.program import (active_clauses, applied_indices,
-                           chromosome_from_applied, compile_theory, gene_pair)
+from gadel.program import (chromosome_from_applied, chromosome_from_mask, compile_theory,
+                           gene_masks)
+from oracles import active_clauses
 
 
 def rendered(clauses, program):
@@ -65,18 +66,25 @@ def test_compound_parts_normalize():
     assert rendered(program.justif[0][0], program) == ["false :- c"]
 
 
-def test_gene_pair_and_applied_indices():
+def test_gene_masks():
     chromosome = (1, 0, 0, 1, 1, 1, 0, 0, 1, 0)
-    assert gene_pair(chromosome, 1) == (1, 0)
-    assert gene_pair(chromosome, 2) == (0, 1)
-    assert gene_pair(chromosome, 5) == (1, 0)
-    assert applied_indices(chromosome) == frozenset((1, 5))
+    # bit i-1 of each mask holds one bit of rule i's gene pair
+    first, second = gene_masks(chromosome)
+    assert (first, second) == (0b10101, 0b00110)
+    assert first & ~second == 0b10001  # rules 1 and 5 applied
+    assert gene_masks(()) == (0, 0)
+    assert gene_masks((True, False, 1, 0)) == (0b11, 0)
+    with pytest.raises(TypeError):
+        gene_masks((1.0, 0))  # a bit is an int, as an index is
+    for bad in ((2, 0), (0, -1), (1, 0, 0, 3)):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            gene_masks(bad)
 
 
 def test_chromosome_from_applied():
     assert chromosome_from_applied(3, [2]) == (0, 0, 1, 0, 0, 0)
     assert chromosome_from_applied(2, []) == (0, 0, 0, 0)
-    assert applied_indices(chromosome_from_applied(6, [1, 4, 6])) == frozenset((1, 4, 6))
+    assert chromosome_from_applied(6, [1, 4, 6]) == chromosome_from_mask(6, 0b101001)
     with pytest.raises(ValueError):
         chromosome_from_applied(3, [0])
     with pytest.raises(ValueError):
@@ -88,8 +96,11 @@ def test_applied_round_trip_random():
     for _ in range(100):
         n = rng.randint(1, 12)
         applied = [i for i in range(1, n + 1) if rng.random() < 0.4]
+        mask = sum(1 << (i - 1) for i in applied)
         chromosome = chromosome_from_applied(n, applied)
-        assert applied_indices(chromosome) == frozenset(applied)
+        assert chromosome == chromosome_from_mask(n, mask)
+        first, second = gene_masks(chromosome)
+        assert (first, second) == (mask, 0)
 
 
 def test_justification_free_default():

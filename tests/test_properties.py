@@ -1,21 +1,24 @@
 """Property tests: the prover session against the truth table and the
 raw-clause reference path, on random clause programs; the verifier with a
 verdict store the search filled, against a fresh store and exhaustive
-enumeration, on random default theories."""
+enumeration, on random default theories; fitness against the penalty grid
+summed rule by rule, on random theories and the people theory."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadel.engine import fitness
+from gadel.bench import build_people
+from gadel.engine import PenaltyTable, _penalty, fitness, pair_penalty
 from gadel.formulas import And, Atom, Clause, Not, Or, conj, disj, make_theory
-from gadel.program import active_clauses, chromosome_from_applied, compile_theory
+from gadel.program import chromosome_from_applied, chromosome_from_mask, compile_theory
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                          ProofOutcome, refute_clauses, truth_table_unsat)
+                          ProofOutcome, refute_clauses)
 from gadel.verifier import (ExtensionCertificate, _VerdictCache, enumerate_extensions,
                             verify)
+from oracles import active_clauses, applied_rules, truth_table_unsat
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -94,3 +97,52 @@ def test_verify_with_search_filled_store(budget, theory):
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
     assert certified == {c.applied for c in enumerate_extensions(theory, budget)}
+
+
+weights = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+penalty_tables = st.builds(PenaltyTable, weights, weights, weights, weights, weights, weights)
+PEOPLE = compile_theory(build_people(["man", "student"]))
+
+
+def pair_penalty_sum(program, chromosome, table):
+    """The rule-order sum of pair_penalty over the chromosome's gene pairs,
+    with each rule's verdicts asked of a fresh session."""
+    session = CandidateQuerySession(program, applied_rules(chromosome))
+    total = 0.0
+    for i in range(1, program.n_defaults + 1):
+        proved = session.prereq_proved(i) is ProofOutcome.PROVED
+        refuted = any(session.justification_refuted(i, j) is ProofOutcome.PROVED
+                      for j in range(1, program.justification_count(i) + 1))
+        total += pair_penalty(table, tuple(chromosome[2 * i - 2:2 * i]), proved, refuted)
+    return total
+
+
+def check_fitness_sums(program, chromosomes, masks, table):
+    store = _VerdictCache(program, DEFAULT_BUDGET)
+    n = program.n_defaults
+    for chrom in chromosomes:
+        assert fitness(program, chrom, table, _cache=store).total == \
+            pair_penalty_sum(program, chrom, table)
+    for mask in masks:
+        # the polish walk's score of an applied mask, as `_descend` computes it
+        walk = _penalty(table, n, mask, 0, store.verdicts(mask))
+        assert walk == fitness(program, chromosome_from_mask(n, mask), table, _cache=store).total
+
+
+@given(theory=default_theories(), table=penalty_tables, data=st.data())
+def test_fitness_is_the_pair_penalty_sum(theory, table, data):
+    program = compile_theory(theory)
+    n = program.n_defaults
+    chromosome = st.tuples(*[st.integers(0, 1)] * (2 * n))
+    chromosomes = data.draw(st.lists(chromosome, min_size=1, max_size=8))
+    check_fitness_sums(program, chromosomes, range(1 << n), table)
+
+
+@settings(max_examples=25)
+@given(table=penalty_tables, data=st.data())
+def test_fitness_is_the_pair_penalty_sum_on_people(table, data):
+    n = PEOPLE.n_defaults
+    chromosomes = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * (2 * n)),
+                                     min_size=1, max_size=3))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
+    check_fitness_sums(PEOPLE, chromosomes, masks, table)

@@ -8,7 +8,8 @@ import pytest
 from gadel.formulas import Clause, parse_theory
 from gadel.program import compile_theory
 from gadel.prover import (CandidateQuerySession, DEFAULT_BUDGET, ProofBudget,
-                          ProofOutcome, refute_clauses, truth_table_unsat)
+                          ProofOutcome, refute_clauses)
+from oracles import truth_table_unsat
 
 
 def cl(heads, body=()):

@@ -8,11 +8,11 @@ import pytest
 from gadel.formulas import (And, Atom, Not, Or, make_theory, negate_to_cnf,
                             parse_theory, tautology)
 from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
-from gadel.program import active_clauses, chromosome_from_applied, compile_theory
-from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome,
-                          truth_table_unsat)
-from gadel.verifier import (ExtensionCertificate, Rejection, _VerdictCache, certificate_json,
-                            enumerate_extensions, verify)
+from gadel.program import chromosome_from_applied, compile_theory
+from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
+from gadel.verifier import (ExtensionCertificate, Rejection, _rules, _VerdictCache,
+                            certificate_json, enumerate_extensions, verify)
+from oracles import active_clauses, truth_table_unsat
 
 
 def check(theory, applied):
@@ -270,7 +270,7 @@ def test_shared_stage_verdicts_change_no_answer(budget):
         candidates += 1 << n
         # each stored row is what a fresh session on its stage set answers
         for stage, row in cache.store.items():
-            assert row == fresh_row(prog, stage, budget)
+            assert row == fresh_row(prog, _rules(stage), budget)
             exhausted |= row[1]
     # the store keeps stage sets only, not one row per candidate
     assert 4 * rows < candidates
@@ -295,4 +295,4 @@ def test_store_keeps_no_row_for_a_finished_stage():
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
     assert certified == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
-    assert list(cache.store) == [frozenset()]
+    assert list(cache.store) == [0]  # the empty stage's rule mask
