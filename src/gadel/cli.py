@@ -53,7 +53,7 @@ def _add_ga_arguments(ap) -> None:
     ap.add_argument("--select-frac", type=float, default=0.25,
                     help="fraction of the population kept as parents")
     ap.add_argument("--penalties", default=None, metavar="p2,p3,p4,p5,p9,p13",
-                    help="six positive penalty weights (default: all 1)")
+                    help="six positive finite penalty weights (default: all 1)")
     ap.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 

@@ -13,8 +13,9 @@ only a certified candidate ends the search.
 
 An applied set is a rule mask, bit i-1 for rule i.  The prover verdicts
 behind a fitness depend only on it, so a search keeps them in one
-`verifier._VerdictCache` keyed by the mask (a row of rule masks, read bit
-by bit here, and a consistency outcome); the verifier's stages read it too.
+`verifier._VerdictCache` keyed by the mask: one row of rule masks, read
+bit by bit here, that also holds the set's consistency outcome.  The
+verifier's stages read it too.
 
 The population is a set of distinct chromosomes, evaluated in sorted
 order.  Each generation selects parents from the ranking, breeds offspring
@@ -57,7 +58,7 @@ from .verifier import ExtensionCertificate, Rejection, _VerdictCache, verify
 
 @dataclass(frozen=True, slots=True)
 class PenaltyTable:
-    """Positive weights for the six penalized gene/verdict combinations.
+    """Positive finite weights for the six penalized gene/verdict combinations.
 
     Row naming follows the position in the 16-row gene/verdict grid:
     rows 2-4 penalize an applied rule that is not cleanly applicable,
@@ -74,8 +75,8 @@ class PenaltyTable:
 
     def __post_init__(self):
         for name in ("p2", "p3", "p4", "p5", "p9", "p13"):
-            if getattr(self, name) <= 0:
-                raise ValueError("penalty %s must be positive" % name)
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError("penalty %s must be positive and finite" % name)
 
 
 UNIT_PENALTIES = PenaltyTable()
@@ -127,7 +128,7 @@ def fitness(program: ClauseProgram, chromosome: Chromosome,
 
 def _penalty(table: PenaltyTable, n: int, first: int, second: int, row) -> float:
     """Rule-order sum of pair_penalty over gene masks, given their applied set's row."""
-    proved, _exhausted, refuted, _hits = row
+    proved, _exhausted, refuted = row[:3]
     total = 0.0
     for i in range(n):
         total += pair_penalty(table, (first >> i & 1, second >> i & 1),
@@ -228,8 +229,7 @@ def _next_population(selected: list[Chromosome], n_defaults: int, params: GaPara
     return population
 
 
-def _descend(program: ClauseProgram, start: int, table: PenaltyTable,
-             cache: _VerdictCache) -> int:
+def _descend(start: int, table: PenaltyTable, cache: _VerdictCache) -> int:
     """Steepest single-toggle walk downhill from an applied mask.
 
     Moves toggle one rule in or out and only satisfiable neighbours are
@@ -240,7 +240,7 @@ def _descend(program: ClauseProgram, start: int, table: PenaltyTable,
     the best state seen is returned.  A state scores as the chromosome with
     gene pair (1,0) on its rules and (0,0) elsewhere.
     """
-    n = program.n_defaults
+    n = cache.program.n_defaults
     cur = start
     cur_total = _penalty(table, n, cur, 0, cache.verdicts(cur))
     best, best_total = cur, cur_total
@@ -311,8 +311,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
            params: GaParams = GaParams(),
            table: PenaltyTable = UNIT_PENALTIES,
            budget: ProofBudget = DEFAULT_BUDGET,
-           on_generation=None,
-           _cache: _VerdictCache | None = None) -> SearchOutcome:
+           on_generation=None) -> SearchOutcome:
     """Run the search until a certified extension appears or budgets run out.
 
     Identical arguments (including rng_seed) give an identical outcome; the
@@ -321,7 +320,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     """
     rng = random.Random(params.rng_seed)
     n = program.n_defaults
-    cache = _cache if _cache is not None else _VerdictCache(program, budget)
+    cache = _VerdictCache(program, budget)
     keep = max(1, math.ceil(params.selection_fraction * params.population_size))
     population = initial_population(n, params.population_size, rng)
     generations = 0
@@ -343,7 +342,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
         start = next((r.applied for r in reports if cache.consistent(r.applied)), None)
         if start is not None and start not in descended:
             descended.add(start)
-            polished = _descend(program, start, table, cache)
+            polished = _descend(start, table, cache)
             descended.add(polished)
             if polished != start:
                 chrom = chromosome_from_mask(n, polished)

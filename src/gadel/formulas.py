@@ -278,28 +278,21 @@ class _Tokens:
 
 
 def _parse_formula(ts: _Tokens) -> Formula:
-    return _parse_disj(ts)[0]
+    return _parse_chain(ts)[0]
 
 
-def _parse_disj(ts: _Tokens) -> tuple[Formula, int]:
-    """A left-deep `||` chain, and its tree depth."""
-    f, depth = _parse_conj(ts)
-    while ts.peek() == "||":
+_CHAINS = (("||", Or), ("&&", And))
+
+
+def _parse_chain(ts: _Tokens, level: int = 0) -> tuple[Formula, int]:
+    """A left-deep `||` chain (level 0) of `&&` chains (level 1), and its tree depth."""
+    op, node = _CHAINS[level]
+    f, depth = _parse_lit(ts) if level else _parse_chain(ts, 1)
+    while ts.peek() == op:
         ln, col = ts.pos()
         ts.take()
-        g, d = _parse_conj(ts)
-        f, depth = Or(f, g), _deeper(max(depth, d), ln, col)
-    return f, depth
-
-
-def _parse_conj(ts: _Tokens) -> tuple[Formula, int]:
-    """A left-deep `&&` chain, and its tree depth."""
-    f, depth = _parse_lit(ts)
-    while ts.peek() == "&&":
-        ln, col = ts.pos()
-        ts.take()
-        g, d = _parse_lit(ts)
-        f, depth = And(f, g), _deeper(max(depth, d), ln, col)
+        g, d = _parse_lit(ts) if level else _parse_chain(ts, 1)
+        f, depth = node(f, g), _deeper(max(depth, d), ln, col)
     return f, depth
 
 
@@ -322,7 +315,7 @@ def _parse_lit(ts: _Tokens) -> tuple[Formula, int]:
             f, depth = _parse_lit(ts)
             f, depth = Not(f), _deeper(depth, ln, col)
         else:
-            f, depth = _parse_disj(ts)
+            f, depth = _parse_chain(ts)
             ts.take(")")
         ts.depth -= 1
         return f, depth

@@ -24,19 +24,21 @@ the one store of prover verdicts, keyed by that mask.  The theory an
 applied set spans, and so every answer about it, depends only on that set
 (and the program and budget).  A row holds three rule masks (prerequisite
 proved, prerequisite left undecided by the budget, some justification
-refuted) and the number of budget hits.  The search scores a chromosome
-from the row of its applied set, and the staged closure admits rules from
-its stages' rows; the stages of many candidates pass through the same few
-sets.  A stored row is what a fresh session gives, budget exhaustion
-included, so sharing it changes no score, certificate or rejection.
+refuted), the number of budget hits among those queries, and the
+consistency outcome, all from one session.  The search scores a chromosome
+from the row of its applied set and reads the same row to tell whether
+that set is consistent; the staged closure admits rules from its stages'
+rows, and the stages of many candidates pass through the same few sets.  A
+stored row is what a fresh session gives, budget exhaustion included, so
+sharing it changes no score, certificate or rejection.
 
 `verify` answers its own candidate's justifications, consistency and atoms
-from a session of its own and never stores that candidate's row: an
-enumeration would otherwise keep one row per candidate.  A stage row is
-built only while some admissible rule (one whose justifications the
-candidate leaves unrefuted) is still outside the stage: a stage that has
-admitted all of them is the fixpoint, and asking for its row anyway would
-again add about one row per candidate.
+from a session of its own, opened with the store's program and budget, and
+never stores that candidate's row: an enumeration would otherwise keep one
+row per candidate.  A stage row is built only while some admissible rule
+(one whose justifications the candidate leaves unrefuted) is still outside
+the stage: a stage that has admitted all of them is the fixpoint, and
+asking for its row anyway would again add about one row per candidate.
 """
 
 from __future__ import annotations
@@ -90,17 +92,17 @@ def _refuted(program: ClauseProgram,
 
 
 class _VerdictCache:
-    """Verdict rows and consistency outcomes per applied rule mask, shared by
-    every candidate of one program and budget."""
+    """Verdict rows per applied rule mask, shared by every candidate of one
+    program and budget."""
 
     def __init__(self, program: ClauseProgram, budget: ProofBudget):
         self.program = program
         self.budget = budget
-        self.store: dict[int, tuple[int, int, int, int]] = {}
-        self.cons: dict[int, ProofOutcome] = {}
+        self.store: dict[int, tuple[int, int, int, int, ProofOutcome]] = {}
 
-    def verdicts(self, applied: int) -> tuple[int, int, int, int]:
-        """(proved, exhausted, refuted, budget hits) of the theory `applied` spans."""
+    def verdicts(self, applied: int) -> tuple[int, int, int, int, ProofOutcome]:
+        """(proved, exhausted, refuted, budget hits, consistency) of the theory
+        `applied` spans."""
         row = self.store.get(applied)
         if row is None:
             session = CandidateQuerySession(self.program, _rules(applied), self.budget)
@@ -112,17 +114,14 @@ class _VerdictCache:
                 elif got is ProofOutcome.BUDGET_EXHAUSTED:
                     exhausted |= 1 << (i - 1)
             refuted, undecided = _refuted(self.program, session)
-            row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided))
+            row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided),
+                   session.consistent())
             self.store[applied] = row
         return row
 
     def consistency(self, applied: int) -> ProofOutcome:
         """NOT_PROVED iff the theory `applied` spans is satisfiable."""
-        got = self.cons.get(applied)
-        if got is None:
-            got = CandidateQuerySession(self.program, _rules(applied), self.budget).consistent()
-            self.cons[applied] = got
-        return got
+        return self.verdicts(applied)[4]
 
     def consistent(self, applied: int) -> bool:
         """Whether the candidate theory is satisfiable; budget hits count as no."""
@@ -178,15 +177,14 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     never admitted by the stages (ungrounded), and admissible rules the
     chromosome left unapplied.
     """
-    if program is None:
-        program = compile_theory(theory)
+    cache = _cache or _VerdictCache(program or compile_theory(theory), budget)
+    program = cache.program
     n = program.n_defaults
     if len(chromosome) != 2 * n:
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
     first, second = gene_masks(chromosome)
     applied = first & ~second
-    cache = _cache if _cache is not None else _VerdictCache(program, budget)
-    full = CandidateQuerySession(program, _rules(applied), budget)
+    full = CandidateQuerySession(program, _rules(applied), cache.budget)
     refuted, undecided = _refuted(program, full)
     if undecided:
         i, j = undecided[0]

@@ -69,6 +69,13 @@ def test_solve_reports_failure(tmp_path, capsys):
     assert "no certified extension within 3 generations" in out
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_penalty_is_a_usage_error(nixon_file, capsys, weight):
+    code = main(["solve", nixon_file, "--penalties", "1,1,1,1,1," + weight])
+    assert code == 2
+    assert "penalty p13 must be positive and finite" in capsys.readouterr().err
+
+
 def test_check_accepts_extension(nixon_file, capsys):
     code = main(["check", nixon_file, "--applied", "2"])
     assert code == 0

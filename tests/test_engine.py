@@ -10,8 +10,9 @@ from gadel.engine import (Exhausted, Found, GaParams, PenaltyTable,
                           _VerdictCache, evolve, fitness, initial_population)
 from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
 from gadel.program import chromosome_from_applied, compile_theory
-from gadel.prover import DEFAULT_BUDGET, ProofBudget
+from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.engine import pair_penalty
+from gadel import verifier
 from gadel.verifier import verify
 
 
@@ -59,6 +60,10 @@ def test_penalty_table_rejects_nonpositive():
         PenaltyTable(p3=0.0)
     with pytest.raises(ValueError):
         PenaltyTable(p13=-2.0)
+    # nan <= 0 is false, so non-finite weights need their own check
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            PenaltyTable(p9=bad)
 
 
 def fit(theory, applied_or_chrom, table=UNIT_PENALTIES):
@@ -161,8 +166,10 @@ def test_fitness_report_applied():
     assert rep.total == 0.0 and not rep.hit_budget
     assert rep.applied == 0b01  # rule mask: bit 0 is rule 1
     # the row behind it: rule 1's prerequisite proved (bit 0), nothing left
-    # undecided, rule 2's justification !c refuted by c (bit 1), no budget hits
-    assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, 0)
+    # undecided, rule 2's justification !c refuted by c (bit 1), no budget
+    # hits, and the candidate {a, c} consistent, as a fresh session says
+    assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, 0, ProofOutcome.NOT_PROVED)
+    assert cache.verdicts(rep.applied)[4] is CandidateQuerySession(prog, {1}).consistent()
     assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == 0b10
 
 
@@ -224,18 +231,30 @@ def test_select_parents_one_per_applied_set():
     assert chosen == [plain.chromosome, empty.chromosome, styled.chromosome]
 
 
+def test_scored_set_answers_consistency_without_a_session(monkeypatch):
+    # consistency is part of the verdict row, so once fitness has scored a
+    # chromosome, selection and polish ask no prover about its applied set
+    prog, cache, rep = select_fixture()
+    scored = [rep({1, 2}), rep({1}), rep(set())]
+    opened = []
+    monkeypatch.setattr(verifier, "CandidateQuerySession",
+                        lambda *args: opened.append(args) or CandidateQuerySession(*args))
+    assert [cache.consistent(r.applied) for r in scored] == [False, True, True]
+    assert opened == []
+
+
 def test_descend_crosses_equal_fitness_ridge():
     t = parse_theory("w: a.\nd: a : b / c.\nd: c : d / e.")
     prog = compile_theory(t)
     cache = _VerdictCache(prog, DEFAULT_BUDGET)
     # empty and {1} both score 1.0, so only a sideways move reaches {1, 2}
-    got = _descend(prog, 0, UNIT_PENALTIES, cache)
+    got = _descend(0, UNIT_PENALTIES, cache)
     assert got == 0b011
 
 
 def test_descend_skips_inconsistent_neighbours():
     prog, cache, rep = select_fixture()
-    got = _descend(prog, 0, UNIT_PENALTIES, cache)
+    got = _descend(0, UNIT_PENALTIES, cache)
     # the clashing pair is never entered; the walk settles beside it
     assert got == 0b101
     assert cache.consistent(got)

@@ -2,7 +2,12 @@
 raw-clause reference path, on random clause programs; the verifier with a
 verdict store the search filled, against a fresh store and exhaustive
 enumeration, on random default theories; fitness against the penalty grid
-summed rule by rule, on random theories and the people theory."""
+summed rule by rule, on random theories and the people theory; the theory
+text format round trip; and the command line's exit codes on generated
+input."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -11,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gadel.bench import build_people
+from gadel.cli import main
 from gadel.engine import PenaltyTable, _penalty, fitness, pair_penalty
-from gadel.formulas import And, Atom, Clause, Not, Or, conj, disj, make_theory
+from gadel.formulas import (MAX_NESTING, And, Atom, Clause, Not, Or, conj, disj,
+                            format_theory, make_theory, parse_theory)
 from gadel.program import chromosome_from_applied, chromosome_from_mask, compile_theory
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                           ProofOutcome, refute_clauses)
@@ -146,3 +153,51 @@ def test_fitness_is_the_pair_penalty_sum_on_people(table, data):
                                      min_size=1, max_size=3))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
     check_fitness_sums(PEOPLE, chromosomes, masks, table)
+
+
+@settings(max_examples=50)
+@given(theory=default_theories())
+def test_format_parse_round_trip(theory):
+    assert parse_theory(format_theory(theory)) == theory
+
+
+@pytest.fixture(scope="module")
+def theory_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli") / "generated.dt"
+
+
+def solve(path, *extra):
+    """Exit code of an in-process `gadel solve` with a tiny search; output is dropped."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(["solve", str(path), "--pop-size", "4", "--max-gens", "2", *extra])
+
+
+@settings(max_examples=30)
+@given(theory=default_theories(), data=st.data())
+def test_cli_on_valid_and_truncated_text(theory_file, theory, data):
+    text = format_theory(theory).encode()
+    cut = data.draw(st.integers(0, len(text)))
+    theory_file.write_bytes(text)
+    assert solve(theory_file) in (0, 1)
+    theory_file.write_bytes(text[:cut])
+    assert solve(theory_file) in (0, 1, 2)
+
+
+@settings(max_examples=30)
+@given(opens=st.integers(0, MAX_NESTING + 20).flatmap(
+    lambda k: st.text(alphabet="!(", min_size=k, max_size=k)))
+def test_cli_on_deep_nesting(theory_file, opens):
+    theory_file.write_text("w: %sa%s.\nd: a : b / c.\n" % (opens, ")" * opens.count("(")))
+    # one rule: the population holds every chromosome, so the extension is found
+    assert solve(theory_file) == (2 if len(opens) > MAX_NESTING else 0)
+
+
+weight_text = st.one_of(st.floats().map(repr), st.text(max_size=4),
+                        st.sampled_from(["1", "0", "-1", "nan", "inf", "1e400", ""]))
+
+
+@settings(max_examples=40)
+@given(penalties=st.one_of(st.lists(weight_text, max_size=8).map(",".join), st.text()))
+def test_cli_on_random_penalties(theory_file, penalties):
+    theory_file.write_text("w: r.\nw: q.\nd: r : !p / !p.\nd: q : p / p.\n")
+    assert solve(theory_file, "--penalties=" + penalties) in (0, 1, 2)

@@ -225,8 +225,9 @@ CASE_SPLIT = "w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e."
 
 
 def fresh_row(program, applied, budget):
-    """(proved, exhausted, refuted, budget hits) asked of a new session, rule
-    by rule; a rule's justifications are asked until one is refuted."""
+    """(proved, exhausted, refuted, budget hits, consistency) asked of a new
+    session, rule by rule; a rule's justifications are asked until one is
+    refuted, and consistency last."""
     session = CandidateQuerySession(program, applied, budget)
     proved = exhausted = refuted = hits = 0
     for i in range(1, program.n_defaults + 1):
@@ -242,7 +243,7 @@ def fresh_row(program, applied, budget):
                 refuted |= 1 << (i - 1)
                 break
             hits += got is ProofOutcome.BUDGET_EXHAUSTED
-    return proved, exhausted, refuted, hits
+    return proved, exhausted, refuted, hits, session.consistent()
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
