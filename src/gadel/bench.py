@@ -3,20 +3,22 @@
 Two families of problems live here: a taxonomic knowledge base about
 people, parameterized by which facts are asserted, and a reduction from
 directed Hamiltonian cycles to default theories.  `run_batch` repeats the
-genetic search over a seed range and `batch_stats` condenses the records.
+genetic search over a seed range and returns one JSON record (a dict) per
+run; `batch_stats` condenses the records into a JSON summary.  These dicts
+are the run record itself: `gadel solve/bench --json` prints them as they
+are.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import combinations
 
 from .engine import (UNIT_PENALTIES, Found, GaParams, PenaltyTable, evolve)
 from .formulas import And, Atom, DefaultTheory, Formula, Not, Or, conj, disj, make_theory
 from .program import compile_theory
-from .prover import DEFAULT_BUDGET, ProofBudget
 from .verifier import certificate_json
 
 PEOPLE_FACTS = ("boy", "girl", "man", "woman", "student")
@@ -213,101 +215,55 @@ def two_loops_demo() -> DefaultTheory:
 # batch running
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    problem: str
-    seed: int
-    outcome: str
-    generations: int
-    restarts: int
-    wall_ms: float
-    chromosome: tuple[int, ...] | None
-    certificate: dict | None
-    zero_fitness_rejected: int
-    rejection_reasons: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class BatchStats:
-    runs: int
-    found: int
-    success_rate: float
-    mean_generations: float | None
-    median_generations: float | None
-    histogram: tuple[tuple[int, int], ...]
-
-
 def run_batch(theory: DefaultTheory, params: GaParams, repetitions: int,
               base_seed: int = 0, name: str = "problem",
               table: PenaltyTable = UNIT_PENALTIES,
-              budget: ProofBudget = DEFAULT_BUDGET,
-              on_generation=None) -> list[RunRecord]:
-    """Repeat the search with seeds base_seed .. base_seed+repetitions-1."""
+              on_generation=None) -> list[dict]:
+    """Repeat the search with seeds base_seed .. base_seed+repetitions-1.
+
+    Each run gives one JSON record: problem, seed, outcome ("found" or
+    "exhausted"), generations, restarts, wall_ms, rejection_reasons as
+    [reason, count] pairs and zero_fitness_rejected, their total; a found
+    run adds its chromosome and certificate.
+    """
     program = compile_theory(theory)
     records = []
     for k in range(repetitions):
         seeded = replace(params, rng_seed=base_seed + k)
         t0 = time.perf_counter()
-        outcome = evolve(program, theory, seeded, table, budget,
-                         on_generation=on_generation)
+        outcome = evolve(program, theory, seeded, table, on_generation=on_generation)
         wall_ms = (time.perf_counter() - t0) * 1000.0
+        record = {
+            "problem": name,
+            "seed": seeded.rng_seed,
+            "outcome": "found" if isinstance(outcome, Found) else "exhausted",
+            "generations": outcome.generations_used,
+            "restarts": outcome.restarts_used,
+            "wall_ms": wall_ms,
+            "zero_fitness_rejected": sum(n for _, n in outcome.rejection_reasons),
+            "rejection_reasons": [list(pair) for pair in outcome.rejection_reasons],
+        }
         if isinstance(outcome, Found):
-            records.append(RunRecord(name, seeded.rng_seed, "found",
-                                     outcome.generations_used, outcome.restarts_used,
-                                     wall_ms, outcome.chromosome,
-                                     certificate_json(outcome.certificate),
-                                     outcome.zero_fitness_rejected,
-                                     outcome.rejection_reasons))
-        else:
-            records.append(RunRecord(name, seeded.rng_seed, "exhausted",
-                                     outcome.generations_used, outcome.restarts_used,
-                                     wall_ms, None, None,
-                                     outcome.zero_fitness_rejected,
-                                     outcome.rejection_reasons))
+            record["chromosome"] = list(outcome.chromosome)
+            record["certificate"] = certificate_json(outcome.certificate)
+        records.append(record)
     return records
 
 
-def batch_stats(records) -> BatchStats:
-    wins = [r.generations for r in records if r.outcome == "found"]
+def batch_stats(records) -> dict:
+    """Success count and rate of run_batch records, and the generation
+    statistics of the found runs as a [generations, runs] histogram."""
+    wins = [r["generations"] for r in records if r["outcome"] == "found"]
     hist: dict[int, int] = {}
     for g in wins:
         hist[g] = hist.get(g, 0) + 1
-    return BatchStats(
-        runs=len(records),
-        found=len(wins),
-        success_rate=len(wins) / len(records) if records else 0.0,
-        mean_generations=statistics.fmean(wins) if wins else None,
-        median_generations=statistics.median(wins) if wins else None,
-        histogram=tuple(sorted(hist.items())),
-    )
-
-
-def record_json(record: RunRecord) -> dict:
-    doc = {
-        "problem": record.problem,
-        "seed": record.seed,
-        "outcome": record.outcome,
-        "generations": record.generations,
-        "restarts": record.restarts,
-        "wall_ms": record.wall_ms,
-        "zero_fitness_rejected": record.zero_fitness_rejected,
-        "rejection_reasons": [list(pair) for pair in record.rejection_reasons],
-    }
-    if record.chromosome is not None:
-        doc["chromosome"] = list(record.chromosome)
-    if record.certificate is not None:
-        doc["certificate"] = record.certificate
-    return doc
-
-
-def stats_json(stats: BatchStats) -> dict:
     return {
-        "runs": stats.runs,
-        "found": stats.found,
-        "success_rate": stats.success_rate,
-        "mean_generations": stats.mean_generations,
-        "median_generations": stats.median_generations,
-        "histogram": [list(pair) for pair in stats.histogram],
+        "runs": len(records),
+        "found": len(wins),
+        "success_rate": len(wins) / len(records) if records else 0.0,
+        "mean_generations": statistics.fmean(wins) if wins else None,
+        "median_generations": statistics.median(wins) if wins else None,
+        "histogram": [list(pair) for pair in sorted(hist.items())],
     }
 
 

@@ -5,9 +5,8 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (PEOPLE_FACTS, batch_stats, build_hamiltonian, build_people,
-                    record_json, run_batch, stats_json)
-from .engine import Found, GaParams, PenaltyTable, UNIT_PENALTIES
+from .bench import PEOPLE_FACTS, batch_stats, build_hamiltonian, build_people, run_batch
+from .engine import GaParams, PenaltyTable, UNIT_PENALTIES
 from .formulas import ParseError, format_theory, parse_theory
 from .program import chromosome_from_applied
 from .verifier import ExtensionCertificate, certificate_json, verify
@@ -57,9 +56,10 @@ def _add_ga_arguments(ap) -> None:
     ap.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
-def _csv_row(record) -> str:
-    return "%s,%d,%s,%d,%d,%.3f" % (record.problem, record.seed, record.outcome,
-                                    record.generations, record.restarts, record.wall_ms)
+def _csv_row(record: dict) -> str:
+    return "%s,%d,%s,%d,%d,%.3f" % (record["problem"], record["seed"], record["outcome"],
+                                    record["generations"], record["restarts"],
+                                    record["wall_ms"])
 
 
 CSV_HEADER = "problem,seed,outcome,generations,restarts,wall_ms"
@@ -79,27 +79,27 @@ def cmd_solve(args) -> int:
                         name=name, table=table, on_generation=trace)
     record = records[0]
     if args.json:
-        print(json.dumps(record_json(record), indent=2, sort_keys=True))
+        print(json.dumps(record, indent=2, sort_keys=True))
     elif args.csv:
         print(CSV_HEADER)
         print(_csv_row(record))
-    elif record.outcome == "found":
-        cert = record.certificate
+    elif record["outcome"] == "found":
+        cert = record["certificate"]
         print("extension found in %d generations (%d restarts, %.0f ms)"
-              % (record.generations, record.restarts, record.wall_ms))
+              % (record["generations"], record["restarts"], record["wall_ms"]))
         print("applied defaults: %s" % (cert["applied"] or "(none)"))
         if "extension_atoms" in cert:
             print("extension atoms: %s" % (cert["extension_atoms"] or "(none)"))
-        if record.zero_fitness_rejected:
+        if record["zero_fitness_rejected"]:
             print("zero-fitness candidates rejected on the way: %d %s"
-                  % (record.zero_fitness_rejected, dict(record.rejection_reasons)))
+                  % (record["zero_fitness_rejected"], dict(record["rejection_reasons"])))
     else:
         print("no certified extension within %d generations (%d restarts)"
-              % (record.generations, record.restarts))
-        if record.zero_fitness_rejected:
+              % (record["generations"], record["restarts"]))
+        if record["zero_fitness_rejected"]:
             print("zero-fitness candidates rejected: %d %s"
-                  % (record.zero_fitness_rejected, dict(record.rejection_reasons)))
-    return 0 if record.outcome == "found" else 1
+                  % (record["zero_fitness_rejected"], dict(record["rejection_reasons"])))
+    return 0 if record["outcome"] == "found" else 1
 
 
 def cmd_check(args) -> int:
@@ -152,18 +152,16 @@ def cmd_bench(args) -> int:
                         name=name, table=table)
     stats = batch_stats(records)
     if args.json:
-        doc = {"problem": name,
-               "records": [record_json(r) for r in records],
-               "stats": stats_json(stats)}
+        doc = {"problem": name, "records": records, "stats": stats}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(CSV_HEADER)
         for record in records:
             print(_csv_row(record))
         print("found %d/%d (%.0f%%), mean generations %s, median %s"
-              % (stats.found, stats.runs, 100.0 * stats.success_rate,
-                 stats.mean_generations, stats.median_generations))
-    return 0 if stats.found else 1
+              % (stats["found"], stats["runs"], 100.0 * stats["success_rate"],
+                 stats["mean_generations"], stats["median_generations"]))
+    return 0 if stats["found"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .formulas import DefaultTheory
 from .program import Chromosome, ClauseProgram, chromosome_from_mask, gene_masks
@@ -165,7 +165,6 @@ class Found:
     certificate: ExtensionCertificate
     generations_used: int
     restarts_used: int
-    zero_fitness_rejected: int
     rejection_reasons: tuple[tuple[str, int], ...]
 
 
@@ -174,7 +173,6 @@ class Exhausted:
     best: FitnessReport
     generations_used: int
     restarts_used: int
-    zero_fitness_rejected: int
     rejection_reasons: tuple[tuple[str, int], ...]
 
 
@@ -317,16 +315,20 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     Identical arguments (including rng_seed) give an identical outcome; the
     optional on_generation callback receives (generation index, best
     penalty, mean penalty, cardinality, restarts) once per population.
+    ValueError if a total of n_defaults penalties could overflow.
     """
-    rng = random.Random(params.rng_seed)
     n = program.n_defaults
+    # twice the largest possible total, so rounding in the sum cannot reach inf
+    if not math.isfinite(2 * n * max(astuple(table))):
+        raise ValueError("penalty weights too large: a total over %d rules could overflow"
+                         % n)
+    rng = random.Random(params.rng_seed)
     cache = _VerdictCache(program, budget)
     keep = max(1, math.ceil(params.selection_fraction * params.population_size))
     population = initial_population(n, params.population_size, rng)
     generations = 0
     restarts = 0
     stalled = 0
-    rejected = 0
     reasons: dict[str, int] = {}
     # verdict of verify() depends only on the applied set, so memoize it
     checked: dict[int, ExtensionCertificate | Rejection] = {}
@@ -363,8 +365,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
                 checked[rep.applied] = outcome
             if isinstance(outcome, ExtensionCertificate):
                 return Found(rep.chromosome, outcome, generations, restarts,
-                             rejected, _reason_counts(reasons))
-            rejected += 1
+                             _reason_counts(reasons))
             reasons[outcome.reason] = reasons.get(outcome.reason, 0) + 1
         stalled += 1
         if generations >= params.max_generations:
@@ -380,7 +381,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
         population = _next_population(selected, n, params, rng, target)
 
     assert best is not None
-    return Exhausted(best, generations, restarts, rejected, _reason_counts(reasons))
+    return Exhausted(best, generations, restarts, _reason_counts(reasons))
 
 
 def _reason_counts(reasons: dict[str, int]) -> tuple[tuple[str, int], ...]:

@@ -116,9 +116,6 @@ class AtomTable:
             self.names.append(name)
         return i
 
-    def __len__(self) -> int:
-        return len(self.names)
-
 
 @dataclass(frozen=True, slots=True)
 class Clause:
@@ -164,21 +161,12 @@ def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[fro
     return [(lh | rh, lb | rb) for lh, lb in left for rh, rb in right]
 
 
-def _cnf(f: Formula, positive: bool, table: AtomTable | None) -> frozenset[Clause]:
-    if table is None:
-        table = AtomTable()
-    return frozenset(Clause(heads, body) for heads, body in _nnf_clauses(f, positive, table)
-                     if not heads & body)
-
-
 def to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[Clause]:
     """Distributive CNF of f; tautological clauses dropped, duplicates merged."""
-    return _cnf(f, True, table)
-
-
-def negate_to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[Clause]:
-    """Clause form of the negation of f (used for goal clauses)."""
-    return _cnf(f, False, table)
+    if table is None:
+        table = AtomTable()
+    return frozenset(Clause(heads, body) for heads, body in _nnf_clauses(f, True, table)
+                     if not heads & body)
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ a rule mask, bit i-1 for rule i, read off a chromosome by `gene_masks`.
 
 from __future__ import annotations
 
-from .formulas import Clause, DefaultTheory, negate_to_cnf, to_cnf
+from .formulas import Clause, DefaultTheory, Not, to_cnf
 
 Chromosome = tuple[int, ...]
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to binary digits, for gene_masks
@@ -100,7 +100,7 @@ def compile_theory(theory: DefaultTheory) -> ClauseProgram:
 
     world = tuple(c for f in theory.world for c in ordered(to_cnf(f, table)))
     conclusion = [ordered(to_cnf(d.consequent, table)) for d in theory.defaults]
-    prereq = [ordered(negate_to_cnf(d.prerequisite, table)) for d in theory.defaults]
+    prereq = [ordered(to_cnf(Not(d.prerequisite), table)) for d in theory.defaults]
     justif = [[ordered(to_cnf(beta, table)) for beta in d.justifications]
               for d in theory.defaults]
     return ClauseProgram(theory, world, conclusion, prereq, justif)

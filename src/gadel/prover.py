@@ -162,12 +162,11 @@ def _base(defs, negs, disj):
 def _decide(base, qdefs, qnegs, qdisj, budget: ProofBudget) -> ProofOutcome:
     """PROVED iff the base clauses plus the query group are unsatisfiable."""
     defs, negs, disj, m0, mplus, fired = base
-    m = _closure(m0, (defs, qdefs)) if qdefs else m0
-    if m != m0:
-        fired = _fired(m, (negs, qnegs))
-    else:
-        fired = fired or _fired(m, (qnegs,))
     if fired:
+        return ProofOutcome.PROVED  # the base alone fires a constraint
+    m = _closure(m0, (defs, qdefs)) if qdefs else m0
+    # m0 fires no base constraint, so only a grown closure can fire one
+    if _fired(m, (negs, qnegs) if m != m0 else (qnegs,)):
         return ProofOutcome.PROVED  # closed by forward chaining
     disj = (disj, qdisj)
     if not _violated(m, disj):

@@ -234,10 +234,10 @@ def test_criterion_4_people_benchmark():
         records = run_batch(build_people(facts), params, 20, name=name)
         st = batch_stats(records)
         single = "+" not in name
-        good = st.found >= 18 and (not single or st.median_generations <= 30)
+        good = st["found"] >= 18 and (not single or st["median_generations"] <= 30)
         ok = ok and good
         lines.append("%s %d/20 median %s (reference mean %.1f)"
-                     % (name, st.found, st.median_generations,
+                     % (name, st["found"], st["median_generations"],
                         REFERENCE_MEANS[name]))
     _verdict(4, ok, "; ".join(lines))
 
@@ -248,13 +248,13 @@ def test_criterion_5_fast_convergence_histogram():
                       mutation_rate=0.1, max_generations=500, restart_after=6)
     records = run_batch(build_people(("man",)), params, 200, name="man")
     st = batch_stats(records)
-    wins = [r.generations for r in records if r.outcome == "found"]
+    wins = [r["generations"] for r in records if r["outcome"] == "found"]
     within = sum(1 for g in wins if g <= 10)
     print("  criterion 5 histogram (generations: runs): %s"
-          % ", ".join("%d: %d" % row for row in st.histogram))
+          % ", ".join("%d: %d" % tuple(row) for row in st["histogram"]))
     detail = ("%d/200 found, %d of %d successes within 10 generations "
-              "(reference: 80%% within 6)" % (st.found, within, len(wins)))
-    _verdict(5, st.found > 0 and within >= len(wins) / 2, detail)
+              "(reference: 80%% within 6)" % (st["found"], within, len(wins)))
+    _verdict(5, st["found"] > 0 and within >= len(wins) / 2, detail)
 
 
 # --------------------------------------------------------------- criterion 6
@@ -339,7 +339,7 @@ def test_criterion_8_groundedness_rejection_counter():
         ("two-loops", two_loops_demo(), GaParams(population_size=60, max_generations=25)),
     ):
         records = run_batch(theory, params, 20, name=name)
-        counts[name] = sum(dict(r.rejection_reasons).get("ungrounded", 0)
+        counts[name] = sum(dict(r["rejection_reasons"]).get("ungrounded", 0)
                            for r in records)
     # on the triangle every zero-fitness applied set is a real extension
     # (checked by enumeration), so the counter can only move on a graph

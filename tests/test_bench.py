@@ -1,11 +1,12 @@
 """Benchmark theories, the cycle reduction, and batch running."""
 
+import json
+
 import pytest
 
-from gadel.bench import (BatchStats, batch_stats, build_hamiltonian,
-                         build_nixon, build_people, complete_arcs,
-                         record_json, run_batch, standard_suite, stats_json,
-                         tour_from_applied, two_loops_demo)
+from gadel.bench import (batch_stats, build_hamiltonian, build_nixon,
+                         build_people, complete_arcs, run_batch,
+                         standard_suite, tour_from_applied, two_loops_demo)
 from gadel.engine import GaParams
 from gadel.program import compile_theory
 from gadel.verifier import certificate_json, enumerate_extensions, verify
@@ -81,16 +82,13 @@ def test_run_batch_deterministic_and_certified():
     params = GaParams(population_size=16, max_generations=50, rng_seed=0)
     first = run_batch(t, params, repetitions=3, base_seed=5, name="nixon")
     second = run_batch(t, params, repetitions=3, base_seed=5, name="nixon")
-    assert [r.seed for r in first] == [5, 6, 7]
+    assert [r["seed"] for r in first] == [5, 6, 7]
     for a, b in zip(first, second):
-        assert (a.problem, a.seed, a.outcome, a.generations, a.restarts,
-                a.chromosome, a.certificate) == \
-               (b.problem, b.seed, b.outcome, b.generations, b.restarts,
-                b.chromosome, b.certificate)
+        assert {**a, "wall_ms": 0.0} == {**b, "wall_ms": 0.0}
     for rec in first:
-        assert rec.outcome == "found"
-        replay = verify(t, rec.chromosome)
-        assert certificate_json(replay) == rec.certificate
+        assert rec["outcome"] == "found"
+        replay = verify(t, rec["chromosome"])
+        assert certificate_json(replay) == rec["certificate"]
 
 
 def test_batch_stats_recomputation():
@@ -98,31 +96,46 @@ def test_batch_stats_recomputation():
     params = GaParams(population_size=16, max_generations=50, rng_seed=0)
     records = run_batch(t, params, repetitions=4, name="nixon")
     stats = batch_stats(records)
-    wins = [r.generations for r in records if r.outcome == "found"]
-    assert stats.runs == 4
-    assert stats.found == len(wins)
-    assert stats.success_rate == len(wins) / 4
-    assert stats.mean_generations == sum(wins) / len(wins)
-    assert sum(n for _, n in stats.histogram) == len(wins)
+    wins = [r["generations"] for r in records if r["outcome"] == "found"]
+    assert stats["runs"] == 4
+    assert stats["found"] == len(wins)
+    assert stats["success_rate"] == len(wins) / 4
+    assert stats["mean_generations"] == sum(wins) / len(wins)
+    assert sum(n for _, n in stats["histogram"]) == len(wins)
 
 
 def test_batch_stats_empty():
     stats = batch_stats([])
-    assert stats == BatchStats(0, 0, 0.0, None, None, ())
+    assert stats == {"runs": 0, "found": 0, "success_rate": 0.0,
+                     "mean_generations": None, "median_generations": None,
+                     "histogram": []}
 
 
-def test_record_and_stats_json():
+def test_record_and_stats_documents():
     t = build_nixon()
     params = GaParams(population_size=16, max_generations=50, rng_seed=0)
     records = run_batch(t, params, repetitions=1, name="nixon")
-    doc = record_json(records[0])
+    doc = records[0]
     assert doc["problem"] == "nixon"
     assert doc["outcome"] == "found"
     assert doc["certificate"]["applied"] in ([1], [2])
     assert isinstance(doc["wall_ms"], float)
-    sdoc = stats_json(batch_stats(records))
+    assert json.loads(json.dumps(doc)) == doc
+    sdoc = batch_stats(records)
     assert sdoc["runs"] == 1 and sdoc["found"] == 1
-    assert sdoc["histogram"] == [[records[0].generations, 1]]
+    assert sdoc["histogram"] == [[doc["generations"], 1]]
+    assert json.loads(json.dumps(sdoc)) == sdoc
+
+
+def test_record_counts_every_rejection():
+    # two-loops has no extension, so every run rejects ungrounded candidates
+    params = GaParams(population_size=60, max_generations=25)
+    records = run_batch(two_loops_demo(), params, 3, name="two-loops")
+    for rec in records:
+        assert rec["outcome"] == "exhausted"
+        assert "chromosome" not in rec and "certificate" not in rec
+        assert dict(rec["rejection_reasons"]).get("ungrounded", 0) > 0
+        assert rec["zero_fitness_rejected"] == sum(n for _, n in rec["rejection_reasons"])
 
 
 def test_standard_suite_rows():

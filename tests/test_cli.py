@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from gadel.bench import batch_stats, run_batch
 from gadel.cli import CSV_HEADER, main
+from gadel.engine import GaParams
 from gadel.formulas import MAX_CLAUSES, parse_theory
 from gadel.program import MAX_PROGRAM_CLAUSES
 from gadel.verifier import enumerate_extensions
@@ -74,6 +76,17 @@ def test_non_finite_penalty_is_a_usage_error(nixon_file, capsys, weight):
     code = main(["solve", nixon_file, "--penalties", "1,1,1,1,1," + weight])
     assert code == 2
     assert "penalty p13 must be positive and finite" in capsys.readouterr().err
+
+
+def test_penalty_total_overflow_is_a_usage_error(tmp_path, capsys):
+    # each weight is finite, but 39 of them sum past the largest float
+    path = tmp_path / "man.dt"
+    assert main(["gen", "people", "--facts", "man", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code = main(["solve", str(path), "--penalties", ",".join(["1e308"] * 6), "--trace"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "gadel: penalty weights too large: a total over 39 rules could overflow\n"
 
 
 def test_check_accepts_extension(nixon_file, capsys):
@@ -144,6 +157,26 @@ def test_bench_json_deterministic(nixon_file, capsys):
         for rec in doc["records"]:
             rec["wall_ms"] = 0.0
     assert first == second
+
+
+def _masked(doc):
+    """A JSON document with every run record's wall_ms set to 0."""
+    for rec in doc.get("records", [doc]):
+        rec["wall_ms"] = 0.0
+    return doc
+
+
+def test_json_output_is_the_run_batch_record(nixon_file, capsys):
+    params = GaParams(population_size=16)
+    assert main(["solve", nixon_file, "--pop-size", "16", "--seed", "3", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    records = run_batch(parse_theory(NIXON), params, 1, base_seed=3, name="nixon")
+    assert _masked(printed) == _masked(records[0])
+    assert main(["bench", nixon_file, "--reps", "3", "--pop-size", "16", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    records = run_batch(parse_theory(NIXON), params, 3, name="nixon")
+    doc = {"problem": "nixon", "records": records, "stats": batch_stats(records)}
+    assert _masked(printed) == _masked(doc)
 
 
 def test_bench_exit_one_when_nothing_found(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Penalty table, fitness, and the genetic loop."""
 
+import math
 import random
+import sys
 
 import pytest
 
@@ -324,7 +326,7 @@ def test_evolve_exhausts_when_no_zero_exists():
     assert isinstance(out, Exhausted)
     assert out.generations_used == 3
     assert out.best.total == 1.0
-    assert out.zero_fitness_rejected == 0
+    assert dict(out.rejection_reasons) == {}
 
 
 def test_evolve_restart_cadence():
@@ -343,8 +345,23 @@ def test_evolve_rejects_ungrounded_candidates():
     out = evolve(compile_theory(t), t,
                  GaParams(population_size=60, max_generations=25, rng_seed=0))
     assert isinstance(out, Exhausted)
-    assert out.zero_fitness_rejected > 0
     assert dict(out.rejection_reasons).get("ungrounded", 0) > 0
+
+
+def test_evolve_rejects_weights_that_can_overflow_the_total():
+    t = build_nixon()
+    program = compile_theory(t)
+    n = program.n_defaults
+    # the largest weight whose doubled total over n rules is finite still runs
+    top = sys.float_info.max / (2 * n)
+    while not math.isfinite(2 * n * top):
+        top = math.nextafter(top, 0.0)
+    heavy = PenaltyTable(*[top] * 6)
+    out = evolve(program, t, GaParams(population_size=16, rng_seed=0), heavy)
+    assert isinstance(out, Found)
+    assert fitness(program, (1, 1, 1, 1), heavy).total == 2 * top
+    with pytest.raises(ValueError, match="could overflow"):
+        evolve(program, t, GaParams(), PenaltyTable(*[math.nextafter(top, math.inf)] * 6))
 
 
 def test_evolve_generation_callback():

@@ -9,7 +9,7 @@ import pytest
 from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Default,
                             Not, Or, ParseError, atoms_of, conj, disj,
                             format_formula, format_theory, make_theory,
-                            negate_to_cnf, parse_theory, tautology, to_cnf)
+                            parse_theory, tautology, to_cnf)
 from oracles import evaluate
 
 
@@ -46,11 +46,11 @@ def test_to_cnf_distributes():
     assert table.names == ["a", "b", "c"]
 
 
-def test_negate_to_cnf():
+def test_to_cnf_of_negation():
     table = AtomTable()
     f = Or(And(Atom("a"), Atom("b")), Atom("c"))
     # !(a&&b || c) == (!a || !b) && !c
-    assert keyed(negate_to_cnf(f, table)) == [((), (0, 1)), ((), (2,))]
+    assert keyed(to_cnf(Not(f), table)) == [((), (0, 1)), ((), (2,))]
 
 
 def test_cnf_negation_parity():
@@ -91,7 +91,7 @@ def test_cnf_model_equivalence_random():
         f = random_formula(rng, ["a", "b", "c", "d"], 4)
         table = AtomTable()
         clauses = to_cnf(f, table)
-        neg = negate_to_cnf(f, table)
+        neg = to_cnf(Not(f), table)
         for assignment in assignments(["a", "b", "c", "d"]):
             want = evaluate(f, assignment)
             assert want == all(clause_true(c, table, assignment) for c in clauses)

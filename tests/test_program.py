@@ -4,8 +4,7 @@ import random
 
 import pytest
 
-from gadel.formulas import (Atom, Clause, Not, negate_to_cnf, parse_theory,
-                            to_cnf)
+from gadel.formulas import Atom, Clause, Not, parse_theory, to_cnf
 from gadel.program import (chromosome_from_applied, chromosome_from_mask, compile_theory,
                            gene_masks)
 from oracles import active_clauses
@@ -121,7 +120,7 @@ def test_program_decomposition_is_complete():
     assert len(program.world) == sum(len(to_cnf(f)) for f in th.world) == 2
     for d in th.defaults:
         assert len(program.conclusion[d.index - 1]) == len(to_cnf(d.consequent))
-        assert len(program.prereq[d.index - 1]) == len(negate_to_cnf(d.prerequisite))
+        assert len(program.prereq[d.index - 1]) == len(to_cnf(Not(d.prerequisite)))
         assert [len(row) for row in program.justif[d.index - 1]] == [
             len(to_cnf(beta)) for beta in d.justifications]
     assert [len(g) for g in program.conclusion] == [2, 1]

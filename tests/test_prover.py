@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from gadel.formulas import Clause, parse_theory
+from gadel import prover
 from gadel.program import compile_theory
 from gadel.prover import (CandidateQuerySession, DEFAULT_BUDGET, ProofBudget,
                           ProofOutcome, refute_clauses)
@@ -153,6 +154,26 @@ def test_session_rejects_out_of_range_indices():
     for aid in (-1, program.atom_count, 100):
         with pytest.raises(IndexError):
             session.entails_atom(aid)
+
+
+def test_inconsistent_candidate_answers_without_closure(monkeypatch):
+    # W = {a, !a} fires a constraint by forward chaining alone, so every
+    # query is PROVED before its group (the unit clause b of justification
+    # b, the constraint <- a of prerequisite a) is closed over
+    th = parse_theory("w: a.\nw: !a.\nd: a : b / c.\n")
+    session = CandidateQuerySession(compile_theory(th), frozenset())
+    calls = []
+    closure = prover._closure
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(prover, "_closure", counted)
+    assert session.justification_refuted(1, 1) is ProofOutcome.PROVED
+    assert session.prereq_proved(1) is ProofOutcome.PROVED
+    assert session.consistent() is ProofOutcome.PROVED
+    assert calls == []
 
 
 # satisfiable, yet backward chaining with case splits needs 78 splits to

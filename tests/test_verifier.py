@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from gadel.formulas import (And, Atom, Not, Or, make_theory, negate_to_cnf,
-                            parse_theory, tautology)
+from gadel.formulas import (And, Atom, Not, Or, make_theory, parse_theory,
+                            tautology, to_cnf)
 from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
@@ -148,7 +148,7 @@ def _same_theory(program, theory, a, b):
         chrom = chromosome_from_applied(program.n_defaults, base_set)
         base = active_clauses(program, chrom)
         for i in sorted(other):
-            goal = negate_to_cnf(theory.defaults[i - 1].consequent, theory.atoms)
+            goal = to_cnf(Not(theory.defaults[i - 1].consequent), theory.atoms)
             if not truth_table_unsat(base + list(goal), program.atom_count):
                 return False
     return True
