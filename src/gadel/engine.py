@@ -18,7 +18,8 @@ bit by bit here, that also holds the set's consistency outcome.  The
 verifier's stages read it too.
 
 The population is a set of distinct chromosomes, evaluated in sorted
-order.  Each generation selects parents from the ranking, breeds offspring
+order; a chromosome that survives from the generation before keeps its
+report.  Each generation selects parents from the ranking, breeds offspring
 from them until the set is full again, and tops up with fresh random
 chromosomes when the survivors cannot produce enough distinct offspring,
 so the collapsing of duplicates is what feeds exploration.  A run that
@@ -334,11 +335,13 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     checked: dict[int, ExtensionCertificate | Rejection] = {}
     descended: set[int] = set()
     best: FitnessReport | None = None
+    scored: dict[Chromosome, FitnessReport] = {}  # last generation's, reused for survivors
 
     while generations < params.max_generations:
         generations += 1
-        reports = [fitness(program, chrom, table, budget, _cache=cache)
+        reports = [scored.get(chrom) or fitness(program, chrom, table, budget, _cache=cache)
                    for chrom in sorted(population)]
+        scored = {rep.chromosome: rep for rep in reports}
         reports.sort(key=lambda r: (r.total, r.chromosome))
         # polish the best satisfiable candidate, once per distinct start
         start = next((r.applied for r in reports if cache.consistent(r.applied)), None)
@@ -354,6 +357,8 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
             best = reports[0]
         if on_generation is not None:
             mean = sum(r.total for r in reports) / len(reports)
+            if math.isinf(mean):  # the sum overflowed, though every total is finite
+                mean = sum(r.total / len(reports) for r in reports)
             on_generation(generations, reports[0].total, mean, len(reports), restarts)
         for rep in reports:
             if rep.total != 0:

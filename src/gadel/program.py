@@ -55,9 +55,12 @@ def split_clauses(clauses) -> tuple[tuple, tuple, tuple]:
 class ClauseProgram:
     """Compiled clause groups: world, and per rule conclusion, prereq, justif.
 
-    Each group also comes as a split group (world_split, conclusion_split,
-    prereq_split, justif_split), built once here.  Nothing changes after
-    compile_theory returns the program, so runs may share it.
+    Each group also comes as a split group, built once here: world_split,
+    conclusion_split per rule, and the distinct query groups, query_groups,
+    with prereq_ids per rule and justif_ids per justification indexing them
+    (rules whose prerequisites or justifications split alike share an id).
+    Nothing changes after compile_theory returns the program, so runs may
+    share it.
     """
 
     def __init__(self, theory: DefaultTheory, world: tuple[Clause, ...],
@@ -73,8 +76,15 @@ class ClauseProgram:
         self.justif = justif
         self.world_split = split_clauses(world)
         self.conclusion_split = [split_clauses(g) for g in conclusion]
-        self.prereq_split = [split_clauses(g) for g in prereq]
-        self.justif_split = [[split_clauses(g) for g in rows] for rows in justif]
+        # the prerequisite and justification split groups, each distinct one once
+        ids: dict[tuple, int] = {}
+
+        def intern(group) -> int:
+            return ids.setdefault(split_clauses(group), len(ids))
+
+        self.prereq_ids = tuple([intern(g) for g in prereq])
+        self.justif_ids = tuple([tuple([intern(g) for g in rows]) for rows in justif])
+        self.query_groups = tuple(ids)
 
     def justification_count(self, i: int) -> int:
         return len(self.justif[i - 1])

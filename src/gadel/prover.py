@@ -31,6 +31,17 @@ against.  The session's clause lists are in the order `refute_clauses`
 gives the same raw list, so both reach the same verdict with the same
 budget use.
 
+Prerequisites and justifications are the program's distinct query groups
+(`program.query_groups`).  A session decides each group at most once and
+keeps the answer.  That is exact: a decision depends only on the
+candidate, the group and the budget, and every model-generation search
+starts with the full budget.  The session's base also records whether
+the closure violates no disjunctive clause and whether the
+over-approximated closure fires a constraint.  A group of constraints
+only, or of facts already in the closure, then needs no closure of its
+own, and one of facts already in the over-approximated closure needs one
+closure instead of two.
+
 Budgets cap the branch nodes (max_depth) and the splits (max_splits) of
 one model-generation search.  A search cut short reports BUDGET_EXHAUSTED
 rather than guessing.
@@ -153,28 +164,39 @@ def _engine(defs, negs, disj, m: int, budget: ProofBudget) -> ProofOutcome:
 
 def _base(defs, negs, disj):
     """Forward-chaining state of a fixed clause set: its split lists, the
-    closure, the over-approximated closure, and whether the closure fires."""
+    closure m0, the over-approximated closure mplus, whether m0 fires a
+    constraint, whether m0 violates no disjunctive clause, and whether mplus
+    fires a constraint."""
     m0 = _closure(0, (defs,))
+    if _fired(m0, (negs,)):
+        return defs, negs, disj, m0, m0, True, False, True  # only the flag is read
     mplus = _closure(m0 | _disj_heads((disj,)), (defs,))
-    return defs, negs, disj, m0, mplus, _fired(m0, (negs,))
+    return defs, negs, disj, m0, mplus, False, not _violated(m0, (disj,)), _fired(mplus, (negs,))
 
 
 def _decide(base, qdefs, qnegs, qdisj, budget: ProofBudget) -> ProofOutcome:
     """PROVED iff the base clauses plus the query group are unsatisfiable."""
-    defs, negs, disj, m0, mplus, fired = base
+    defs, negs, disj, m0, mplus, fired, model0, fired_plus = base
     if fired:
         return ProofOutcome.PROVED  # the base alone fires a constraint
-    m = _closure(m0, (defs, qdefs)) if qdefs else m0
-    # m0 fires no base constraint, so only a grown closure can fire one
-    if _fired(m, (negs, qnegs) if m != m0 else (qnegs,)):
+    grown = 0
+    for hb, _bm in qdefs:
+        grown |= hb
+    m = _closure(m0, (defs, qdefs)) if grown & ~m0 else m0
+    # a base constraint fires on m only if m grew past m0 and, since m0 and
+    # mplus are closed, past mplus or while mplus fires one
+    if _fired(m, (negs, qnegs) if m != m0 and (fired_plus or m & ~mplus) else (qnegs,)):
         return ProofOutcome.PROVED  # closed by forward chaining
-    disj = (disj, qdisj)
-    if not _violated(m, disj):
+    if not _violated(m, (qdisj,) if m == m0 and model0 else (disj, qdisj)):
         return ProofOutcome.NOT_PROVED  # closure is a model
     defs, negs = (defs, qdefs), (negs, qnegs)
-    if not _fired(_closure(mplus | m | _disj_heads((qdisj,)), defs), negs):
+    if qdisj or grown & ~mplus:
+        reach = _fired(_closure(mplus | m | _disj_heads((qdisj,)), defs), negs)
+    else:  # mplus is closed under the query's clauses too
+        reach = fired_plus or _fired(mplus, (qnegs,))
+    if not reach:
         return ProofOutcome.NOT_PROVED  # no constraint reachable
-    return _engine(defs, negs, disj, m, budget)
+    return _engine(defs, negs, (disj, qdisj), m, budget)
 
 
 def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
@@ -206,23 +228,33 @@ class CandidateQuerySession:
             negs.extend(gn)
             disj.extend(gj)
         self._base = _base(defs, negs, disj)
+        # forward chaining alone refutes the candidate: every query is PROVED
+        self.chained_inconsistent = self._base[5]
+        self._answers: list[ProofOutcome | None] = [None] * len(program.query_groups)
+
+    def answer(self, qid: int) -> ProofOutcome:
+        """PROVED iff the candidate theory plus the program's query group
+        `qid` is unsatisfiable; each group is decided once per session."""
+        got = self._answers[qid]
+        if got is None:
+            qdefs, qnegs, qdisj = self.program.query_groups[qid]
+            got = self._answers[qid] = _decide(self._base, qdefs, qnegs, qdisj, self.budget)
+        return got
 
     def prereq_proved(self, i: int) -> ProofOutcome:
         """PROVED iff the candidate theory entails rule i's prerequisite."""
         if not 0 < i <= self.program.n_defaults:
             raise IndexError("no default with index %d" % i)
-        qdefs, qnegs, qdisj = self.program.prereq_split[i - 1]
-        return _decide(self._base, qdefs, qnegs, qdisj, self.budget)
+        return self.answer(self.program.prereq_ids[i - 1])
 
     def justification_refuted(self, i: int, j: int) -> ProofOutcome:
         """PROVED iff the candidate theory refutes justification j of rule i."""
         if not 0 < i <= self.program.n_defaults:
             raise IndexError("no default with index %d" % i)
-        rows = self.program.justif_split[i - 1]
-        if not 0 < j <= len(rows):
+        ids = self.program.justif_ids[i - 1]
+        if not 0 < j <= len(ids):
             raise IndexError("default %d has no justification %d" % (i, j))
-        qdefs, qnegs, qdisj = rows[j - 1]
-        return _decide(self._base, qdefs, qnegs, qdisj, self.budget)
+        return self.answer(ids[j - 1])
 
     def consistent(self) -> ProofOutcome:
         """NOT_PROVED iff the candidate theory is satisfiable."""

@@ -19,18 +19,20 @@ deduplication.
 
 An applied set, a stage included, is a rule mask with bit i-1 for rule i
 (`program.gene_masks`); it becomes a set of indices only to open a prover
-session and in a certificate or a rejection's text.  `_VerdictCache` is
-the one store of prover verdicts, keyed by that mask.  The theory an
-applied set spans, and so every answer about it, depends only on that set
-(and the program and budget).  A row holds three rule masks (prerequisite
-proved, prerequisite left undecided by the budget, some justification
-refuted), the number of budget hits among those queries, and the
-consistency outcome, all from one session.  The search scores a chromosome
-from the row of its applied set and reads the same row to tell whether
-that set is consistent; the staged closure admits rules from its stages'
-rows, and the stages of many candidates pass through the same few sets.  A
-stored row is what a fresh session gives, budget exhaustion included, so
-sharing it changes no score, certificate or rejection.
+session and in a certificate or a rejection's text.  `_VerdictCache` is the
+one store of prover verdicts, keyed by that mask.  The theory an applied
+set spans, and so every answer about it, depends only on that set (and the
+program and budget).  A row holds three rule masks (prerequisite proved,
+prerequisite left undecided by the budget, some justification refuted),
+the number of budget hits among those queries, and the consistency
+outcome, all from one session; when forward chaining alone shows the
+theory inconsistent, every query is PROVED and the row is filled from
+masks without asking one.  The search scores a chromosome from the row of
+its applied set and reads the same row to tell whether that set is
+consistent; the staged closure admits rules from its stages' rows, and the
+stages of many candidates pass through the same few sets.  A stored row is
+what a fresh session gives, budget exhaustion included, so sharing it
+changes no score, certificate or rejection.
 
 `verify` answers its own candidate's justifications, consistency and atoms
 from a session of its own, opened with the store's program and budget, and
@@ -80,9 +82,9 @@ def _refuted(program: ClauseProgram,
     (rule, justification) pairs left undecided before a rule's first refuted one."""
     refuted = 0
     undecided = []
-    for i in range(1, program.n_defaults + 1):
-        for j in range(1, program.justification_count(i) + 1):
-            got = session.justification_refuted(i, j)
+    for i, ids in enumerate(program.justif_ids, 1):
+        for j, qid in enumerate(ids, 1):
+            got = session.answer(qid)
             if got is ProofOutcome.PROVED:
                 refuted |= 1 << (i - 1)
                 break
@@ -99,6 +101,10 @@ class _VerdictCache:
         self.program = program
         self.budget = budget
         self.store: dict[int, tuple[int, int, int, int, ProofOutcome]] = {}
+        # the row of a theory forward chaining refutes: every query is PROVED
+        self.inconsistent_row = ((1 << program.n_defaults) - 1, 0,
+                                 sum(1 << i for i, ids in enumerate(program.justif_ids) if ids),
+                                 0, ProofOutcome.PROVED)
 
     def verdicts(self, applied: int) -> tuple[int, int, int, int, ProofOutcome]:
         """(proved, exhausted, refuted, budget hits, consistency) of the theory
@@ -106,16 +112,19 @@ class _VerdictCache:
         row = self.store.get(applied)
         if row is None:
             session = CandidateQuerySession(self.program, _rules(applied), self.budget)
-            proved = exhausted = 0
-            for i in range(1, self.program.n_defaults + 1):
-                got = session.prereq_proved(i)
-                if got is ProofOutcome.PROVED:
-                    proved |= 1 << (i - 1)
-                elif got is ProofOutcome.BUDGET_EXHAUSTED:
-                    exhausted |= 1 << (i - 1)
-            refuted, undecided = _refuted(self.program, session)
-            row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided),
-                   session.consistent())
+            if session.chained_inconsistent:
+                row = self.inconsistent_row
+            else:
+                proved = exhausted = 0
+                for i, qid in enumerate(self.program.prereq_ids):
+                    got = session.answer(qid)
+                    if got is ProofOutcome.PROVED:
+                        proved |= 1 << i
+                    elif got is ProofOutcome.BUDGET_EXHAUSTED:
+                        exhausted |= 1 << i
+                refuted, undecided = _refuted(self.program, session)
+                row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided),
+                       session.consistent())
             self.store[applied] = row
         return row
 

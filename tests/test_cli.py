@@ -89,6 +89,22 @@ def test_penalty_total_overflow_is_a_usage_error(tmp_path, capsys):
     assert err == "gadel: penalty weights too large: a total over 39 rules could overflow\n"
 
 
+def test_trace_mean_stays_finite_when_the_sum_overflows(tmp_path, capsys):
+    # every chromosome of the one rule pays one weight of 8e307: each total is
+    # finite (and so is twice it), but the four of a generation sum past the
+    # largest float
+    path = tmp_path / "blocked.dt"
+    path.write_text(SELF_BLOCK)
+    code = main(["solve", str(path), "--pop-size", "4", "--max-gens", "2",
+                 "--penalties", ",".join(["8e307"] * 6), "--trace"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 2
+    for line in lines:
+        fields = dict(f.split("=") for f in line.split()[2:])
+        assert float(fields["mean"]) == float(fields["best"]) == 8e307
+
+
 def test_check_accepts_extension(nixon_file, capsys):
     code = main(["check", nixon_file, "--applied", "2"])
     assert code == 0

@@ -1,5 +1,6 @@
 """The benchmark's seeded trajectories, pinned: perfbench/digests.py must print
-the same digest for every workload at seed 0 (about 25 s)."""
+the same digest for every workload at seed 0 (about 25 s), and for
+verify-families at seed 3 (a few seconds)."""
 
 import re
 import subprocess
@@ -24,3 +25,15 @@ def test_benchmark_digests_pinned():
     assert got.returncode == 0, got.stdout + got.stderr
     digests = dict(re.findall(r"^digest (\S+) seed 0 (\S+)$", got.stdout, re.MULTILINE))
     assert digests == PINNED, got.stdout
+
+
+@pytest.mark.slow
+def test_verify_families_seed_3_digest_pinned():
+    # seed 3 orders each family's rules differently, which moves the ids of
+    # the compiled query groups
+    got = subprocess.run([sys.executable, str(ROOT / "perfbench" / "digests.py"),
+                          "--workload", "verify-families", "--seed", "3"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert got.returncode == 0, got.stdout + got.stderr
+    assert re.findall(r"^digest (\S+) seed 3 (\S+)$", got.stdout, re.MULTILINE) == [
+        ("verify-families", "3ee22485ebe70511")], got.stdout

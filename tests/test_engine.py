@@ -14,7 +14,7 @@ from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.engine import pair_penalty
-from gadel import verifier
+from gadel import engine, verifier
 from gadel.verifier import verify
 
 
@@ -376,3 +376,19 @@ def test_evolve_generation_callback():
     assert best == 1.0 and mean == 1.0
     assert size == 4        # only four distinct chromosomes exist
     assert restarts == 0
+
+
+def test_evolve_scores_each_survivor_once(monkeypatch):
+    # only four chromosomes exist, so every generation keeps all four: the
+    # first generation scores them and the next two reuse those reports
+    t = self_blocking_theory()
+    scored = []
+    score = fitness
+    monkeypatch.setattr(engine, "fitness",
+                        lambda program, chrom, *args, **kw:
+                        scored.append(chrom) or score(program, chrom, *args, **kw))
+    out = evolve(compile_theory(t), t,
+                 GaParams(population_size=4, max_generations=3, restart_after=10, rng_seed=0))
+    assert isinstance(out, Exhausted)
+    assert out.generations_used == 3
+    assert sorted(scored) == [(0, 0), (0, 1), (1, 0), (1, 1)]

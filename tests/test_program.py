@@ -6,7 +6,7 @@ import pytest
 
 from gadel.formulas import Atom, Clause, Not, parse_theory, to_cnf
 from gadel.program import (chromosome_from_applied, chromosome_from_mask, compile_theory,
-                           gene_masks)
+                           gene_masks, split_clauses)
 from oracles import active_clauses
 
 
@@ -125,3 +125,17 @@ def test_program_decomposition_is_complete():
             len(to_cnf(beta)) for beta in d.justifications]
     assert [len(g) for g in program.conclusion] == [2, 1]
     assert program.atom_count == len(program.atom_names) == 8
+
+
+def test_query_groups_are_interned():
+    # prerequisite p of rules 1 and 3 and justification q of rules 1 and 2
+    # compile to one query group each; every id names its part's split group
+    th = parse_theory("d: p : q, !r / s.\nd: s : q / t.\nd: p : r / u.\n")
+    program = compile_theory(th)
+    assert program.prereq_ids == (0, 1, 0)
+    assert program.justif_ids == ((2, 3), (2,), (4,))
+    assert len(set(program.query_groups)) == len(program.query_groups) == 5
+    for i in range(th.n_defaults):
+        assert program.query_groups[program.prereq_ids[i]] == split_clauses(program.prereq[i])
+        for qid, group in zip(program.justif_ids[i], program.justif[i]):
+            assert program.query_groups[qid] == split_clauses(group)

@@ -1,5 +1,6 @@
 """Property tests: the prover session against the truth table and the
-raw-clause reference path, on random clause programs; the verifier with a
+raw-clause reference path, on random clause programs and on rules with
+literal and compound prerequisites and justifications; the verifier with a
 verdict store the search filled, against a fresh store and exhaustive
 enumeration, on random default theories; fitness against the penalty grid
 summed rule by rule, on random theories and the people theory; the theory
@@ -65,6 +66,59 @@ def test_session_matches_reference_and_truth_table(budget, case):
         queries.append((session.entails_atom(aid), base + [goal]))
     for got, clauses in queries:
         # the same verdict and the same budget use as the raw-list reference
+        assert got is refute_clauses(clauses, budget)
+        if got is not ProofOutcome.BUDGET_EXHAUSTED:
+            assert (got is ProofOutcome.PROVED) == truth_table_unsat(clauses, program.atom_count)
+
+
+@st.composite
+def literal_query_programs(draw):
+    """A compiled program over 2 to 5 atoms whose world has random clauses,
+    at least one of them with several heads, and whose rules' prerequisites and
+    justifications are mostly single literals (a positive literal's
+    prerequisite is a constraint group and its justification a unit group,
+    a negative one's the other way round) and sometimes compound formulas,
+    which take the general path; and an applied set of its rules."""
+    n = draw(st.integers(3, 5))  # few atoms, so queries meet the world's clauses
+    atom = st.integers(0, n - 1).map(lambda k: Atom("x%d" % k))
+    literal = st.one_of(atom, atom.map(Not))
+    part = st.one_of(literal, literal, literal,
+                     st.builds(And, literal, literal), st.builds(Or, literal, literal))
+    # up to three distinct atoms, the first k of them heads: a constraint, a
+    # one-head clause or a disjunctive clause, never a tautology
+    clause = st.tuples(st.integers(0, 2),
+                       st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+                       ).map(lambda kv: (kv[1][:kv[0]], kv[1][kv[0]:]))
+    disjunctive = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True
+                           ).map(lambda v: (v[:2], v[2:]))
+    world = [draw(disjunctive)] + draw(st.lists(clause, max_size=7))
+    rules = draw(st.lists(st.tuples(part, st.lists(part, max_size=3),
+                                    st.one_of(part, clause.map(lambda hb: clause_formula(*hb)))),
+                          min_size=1, max_size=4))
+    program = compile_theory(make_theory([clause_formula(h, b) for h, b in world], rules))
+    applied = draw(st.sets(st.integers(1, program.n_defaults)))
+    return program, frozenset(applied)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
+@settings(max_examples=150)
+@given(case=literal_query_programs(), data=st.data())
+def test_rule_queries_match_reference_in_any_order(budget, case, data):
+    # every prerequisite and justification query, each asked twice in a
+    # shuffled order of one session, answers as the raw-list reference does
+    program, applied = case
+    n = program.n_defaults
+    queries = [(i, j) for i in range(1, n + 1)
+               for j in range(program.justification_count(i) + 1)]
+    session = CandidateQuerySession(program, applied, budget)
+    base = active_clauses(program, chromosome_from_applied(n, applied))
+    for i, j in data.draw(st.permutations(queries * 2)):
+        if j:
+            got = session.justification_refuted(i, j)
+            clauses = base + list(program.justif[i - 1][j - 1])
+        else:
+            got = session.prereq_proved(i)
+            clauses = base + list(program.prereq[i - 1])
         assert got is refute_clauses(clauses, budget)
         if got is not ProofOutcome.BUDGET_EXHAUSTED:
             assert (got is ProofOutcome.PROVED) == truth_table_unsat(clauses, program.atom_count)

@@ -176,6 +176,64 @@ def test_inconsistent_candidate_answers_without_closure(monkeypatch):
     assert calls == []
 
 
+def test_shared_query_group_is_decided_once(monkeypatch):
+    # rules 1 and 2 share the prerequisite a (the group <- a), and rules 1
+    # and 3 the justification b (the unit b.): asked twice each, the two
+    # distinct groups reach _decide once each per session
+    th = parse_theory("w: a.\nd: a : b / c.\nd: a : !c / d.\nd: c : b / e.\n")
+    session = CandidateQuerySession(compile_theory(th), frozenset((1,)))
+    decided = []
+    decide = prover._decide
+
+    def counted(*args):
+        decided.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(prover, "_decide", counted)
+    for _ in range(2):
+        assert session.prereq_proved(1) is ProofOutcome.PROVED
+        assert session.prereq_proved(2) is ProofOutcome.PROVED
+        assert session.justification_refuted(1, 1) is ProofOutcome.NOT_PROVED
+        assert session.justification_refuted(3, 1) is ProofOutcome.NOT_PROVED
+    assert len(decided) == 2
+
+
+# (world and rule, query, outcome): literal and compound queries whose
+# answer turns on the session's closure flags; "j" asks justification 1 of
+# rule 1 and "p" its prerequisite
+FLAG_CASES = [
+    # the unit a grows the closure past the over-approximated one, where
+    # both heads of x | y then fire a constraint: a case split proves it
+    ("w: x || y.\nw: !(a && x).\nw: !(a && y).\nd: t : a / z.\n", "j", ProofOutcome.PROVED),
+    # the closure satisfies every disjunctive clause until the unit c makes
+    # the body of a | b <- c true
+    ("w: !c || a || b.\nw: !a.\nw: !b.\nd: t : c / z.\n", "j", ProofOutcome.PROVED),
+    ("w: !c || a || b.\nw: !a.\nd: t : c / z.\n", "j", ProofOutcome.NOT_PROVED),
+    # constraints only: no base constraint fires on the over-approximated
+    # closure, the query's <- x and <- y do
+    ("w: x || y.\nd: x || y : / z.\n", "p", ProofOutcome.PROVED),
+    ("w: x || y || v.\nd: x || y : / z.\n", "p", ProofOutcome.NOT_PROVED),
+    # the unit a fires the base constraint <- a, b outside every closure
+    ("w: b.\nw: !(a && b).\nd: t : a / z.\n", "j", ProofOutcome.PROVED),
+    # the unit a is only in the over-approximated closure
+    ("w: x || a.\nw: !a.\nd: t : a / z.\n", "j", ProofOutcome.PROVED),
+    ("w: x || a.\nw: !(a && y).\nd: t : a / z.\n", "j", ProofOutcome.NOT_PROVED),
+]
+
+
+@pytest.mark.parametrize("text,query,want", FLAG_CASES)
+def test_closure_flag_paths_match_reference(text, query, want):
+    program = compile_theory(parse_theory(text))
+    session = CandidateQuerySession(program, frozenset())
+    if query == "j":
+        got, group = session.justification_refuted(1, 1), program.justif[0][0]
+    else:
+        got, group = session.prereq_proved(1), program.prereq[0]
+    clauses = list(program.world) + list(group)
+    assert got is want is refute_clauses(clauses)
+    assert (want is ProofOutcome.PROVED) == truth_table_unsat(clauses, program.atom_count)
+
+
 # satisfiable, yet backward chaining with case splits needs 78 splits to
 # show it, more than the default budget allows
 FOUND_SET = [cl((0, 2, 3)), cl((), (0,)), cl((1,), (2,)), cl((1,)), cl((0, 1, 2)),

@@ -8,6 +8,7 @@ import pytest
 from gadel.formulas import (And, Atom, Not, Or, make_theory, parse_theory,
                             tautology, to_cnf)
 from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
+from gadel import prover
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.verifier import (ExtensionCertificate, Rejection, _rules, _VerdictCache,
@@ -297,3 +298,29 @@ def test_store_keeps_no_row_for_a_finished_stage():
             certified.add(got.applied)
     assert certified == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
     assert list(cache.store) == [0]  # the empty stage's rule mask
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
+                         ids=["default", "tiny"])
+def test_inconsistent_row_is_filled_from_masks(budget, monkeypatch):
+    # forward chaining alone fires a constraint of each of these candidates:
+    # W = {a, !a} with nothing applied, and a K5 polish neighbour (the seed-0
+    # extension {1, 6, 12, 13, 20} plus rule 2, a second arc out of vertex 1).
+    # The store fills the row from masks without a query, and it is the row
+    # the per-query loop gives: every prerequisite proved, every rule with a
+    # justification refuted (rule 2 of W's theory has none)
+    w_theory = make_theory([Atom("a"), Not(Atom("a"))],
+                           [(Atom("a"), [Atom("b")], Atom("c")), (tautology(), [], Atom("d"))])
+    k5 = build_hamiltonian(5, complete_arcs(5))
+    for theory, applied, refuted in [(w_theory, set(), 0b01),
+                                     (k5, {1, 2, 6, 12, 13, 20}, (1 << 25) - 1)]:
+        prog = compile_theory(theory)
+        assert CandidateQuerySession(prog, applied, budget).chained_inconsistent
+        want = fresh_row(prog, applied, budget)
+        asked = []
+        monkeypatch.setattr(prover, "_decide", lambda *args: asked.append(args))
+        mask = sum(1 << (i - 1) for i in applied)
+        got = _VerdictCache(prog, budget).verdicts(mask)
+        monkeypatch.undo()
+        assert asked == []
+        assert got == want == ((1 << prog.n_defaults) - 1, 0, refuted, 0, ProofOutcome.PROVED)
