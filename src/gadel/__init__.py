@@ -1,7 +1,7 @@
 """Genetic search for extensions of propositional default theories."""
 
 from .engine import (Exhausted, Found, GaParams, PenaltyTable, SearchOutcome,
-                     UNIT_PENALTIES, evolve, fitness, pair_penalty)
+                     UNIT_PENALTIES, evolve, fitness)
 from .formulas import (And, Atom, Default, DefaultTheory, Formula, Not, Or,
                        ParseError, format_theory, make_theory, parse_theory)
 from .program import ClauseProgram, chromosome_from_applied, compile_theory
@@ -17,6 +17,6 @@ __all__ = [
     "Or", "ParseError", "PenaltyTable", "ProofBudget", "ProofOutcome",
     "Rejection", "SearchOutcome", "UNIT_PENALTIES", "certificate_json",
     "chromosome_from_applied", "compile_theory", "enumerate_extensions",
-    "evolve", "fitness", "format_theory", "make_theory", "pair_penalty",
+    "evolve", "fitness", "format_theory", "make_theory",
     "parse_theory", "refute_clauses", "verify",
 ]

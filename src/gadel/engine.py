@@ -13,9 +13,12 @@ only a certified candidate ends the search.
 
 An applied set is a rule mask, bit i-1 for rule i.  The prover verdicts
 behind a fitness depend only on it, so a search keeps them in one
-`verifier._VerdictCache` keyed by the mask: one row of rule masks, read
-bit by bit here, that also holds the set's consistency outcome.  The
-verifier's stages read it too.
+`verifier._VerdictCache` keyed by the mask: one row of rule masks that
+also holds the set's consistency outcome.  The verifier's stages read it
+too.  A chromosome is scored by mask arithmetic: with gene masks `first`
+and `second` (one bit of each rule's pair), the applied set is
+`first & ~second`, the applicable set is `proved & ~refuted`, and only the
+rules where the two differ are charged, lowest rule first.
 
 The population is a set of distinct chromosomes, evaluated in sorted
 order; a chromosome that survives from the generation before keeps its
@@ -83,33 +86,12 @@ class PenaltyTable:
 UNIT_PENALTIES = PenaltyTable()
 
 
-def pair_penalty(table: PenaltyTable, pair: tuple[int, int],
-                 prereq_proved: bool, justif_refuted: bool) -> float:
-    """Penalty of one rule given its gene pair and the two query verdicts."""
-    if pair == (1, 0):
-        if prereq_proved:
-            return table.p2 if justif_refuted else 0.0
-        return table.p3 if justif_refuted else table.p4
-    # for every other pair only "applicable but not applied" is charged
-    if prereq_proved and not justif_refuted:
-        if pair == (1, 1):
-            return table.p5
-        if pair == (0, 1):
-            return table.p9
-        return table.p13
-    return 0.0
-
-
 @dataclass(frozen=True, slots=True)
 class FitnessReport:
     chromosome: Chromosome
     total: float
     applied: int  # rule mask, bit i-1 for rule i
     budget_hits: int
-
-    @property
-    def hit_budget(self) -> bool:
-        return self.budget_hits > 0
 
 
 def fitness(program: ClauseProgram, chromosome: Chromosome,
@@ -121,19 +103,32 @@ def fitness(program: ClauseProgram, chromosome: Chromosome,
         raise ValueError("chromosome length %d, expected %d"
                          % (len(chromosome), 2 * program.n_defaults))
     first, second = gene_masks(chromosome)
+    applied = first & ~second
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
-    row = cache.verdicts(first & ~second)
-    return FitnessReport(chromosome, _penalty(table, program.n_defaults, first, second, row),
-                         first & ~second, row[3])
+    row = cache.verdicts(applied)
+    return FitnessReport(chromosome, _penalty(table, first, second, row), applied, row[3])
 
 
-def _penalty(table: PenaltyTable, n: int, first: int, second: int, row) -> float:
-    """Rule-order sum of pair_penalty over gene masks, given their applied set's row."""
+def _penalty(table: PenaltyTable, first: int, second: int, row) -> float:
+    """Rule-order sum of the penalty grid over gene masks, given their applied
+    set's verdict row.
+
+    A rule is charged exactly when being applied and being applicable
+    (prerequisite proved, no justification refuted) disagree, so only those
+    bits are visited, lowest rule first; the skipped terms are + 0.0 on a
+    non-negative total and change no sum.
+    """
     proved, _exhausted, refuted = row[:3]
+    applied = first & ~second
+    charged = applied ^ (proved & ~refuted)
     total = 0.0
-    for i in range(n):
-        total += pair_penalty(table, (first >> i & 1, second >> i & 1),
-                              proved >> i & 1, refuted >> i & 1)
+    while charged:
+        bit = charged & -charged
+        charged ^= bit
+        if applied & bit:
+            total += (table.p2 if proved & bit else table.p3) if refuted & bit else table.p4
+        else:  # applicable but unapplied: the pair is (1,1), (0,1) or (0,0)
+            total += table.p5 if first & bit else table.p9 if second & bit else table.p13
     return total
 
 
@@ -184,8 +179,12 @@ def initial_population(n_defaults: int, population_size: int,
                        rng: random.Random) -> set[Chromosome]:
     """Random population of min(population_size, 4**n_defaults) distinct members."""
     width = 2 * n_defaults
-    target = min(population_size, 1 << width)
-    population: set[Chromosome] = set()
+    return _fill(set(), width, min(population_size, 1 << width), rng)
+
+
+def _fill(population: set[Chromosome], width: int, target: int,
+          rng: random.Random) -> set[Chromosome]:
+    """Add random chromosomes of `width` bits until the set holds `target`."""
     while len(population) < target:
         population.add(tuple(rng.randrange(2) for _ in range(width)))
     return population
@@ -223,9 +222,7 @@ def _next_population(selected: list[Chromosome], n_defaults: int, params: GaPara
                     chrom = tuple(bits)
                 if len(population) < target:
                     population.add(chrom)
-    while len(population) < target:
-        population.add(tuple(rng.randrange(2) for _ in range(width)))
-    return population
+    return _fill(population, width, target, rng)
 
 
 def _descend(start: int, table: PenaltyTable, cache: _VerdictCache) -> int:
@@ -241,7 +238,7 @@ def _descend(start: int, table: PenaltyTable, cache: _VerdictCache) -> int:
     """
     n = cache.program.n_defaults
     cur = start
-    cur_total = _penalty(table, n, cur, 0, cache.verdicts(cur))
+    cur_total = _penalty(table, cur, 0, cache.verdicts(cur))
     best, best_total = cur, cur_total
     visited = {cur}
     for _ in range(2 * n):
@@ -252,7 +249,7 @@ def _descend(start: int, table: PenaltyTable, cache: _VerdictCache) -> int:
             trial = cur ^ (1 << i)
             if trial in visited or not cache.consistent(trial):
                 continue
-            t = _penalty(table, n, trial, 0, cache.verdicts(trial))
+            t = _penalty(table, trial, 0, cache.verdicts(trial))
             if t <= cur_total + 1e-12 and (choice is None or t < choice[0] - 1e-12):
                 choice = (t, trial)
         if choice is None:
@@ -277,32 +274,20 @@ def _select_parents(reports: list[FitnessReport], keep: int,
     chosen: list[Chromosome] = []
     taken: set[Chromosome] = set()
     seen: set[int] = set()
-    reserve = (keep + 1) // 2
-    for rep in reports:
-        if len(chosen) >= reserve:
-            break
-        key = rep.applied
-        if key not in seen and cache.consistent(key):
-            seen.add(key)
-            taken.add(rep.chromosome)
-            chosen.append(rep.chromosome)
-    for rep in reports:
-        if len(chosen) >= keep:
-            break
-        if rep.chromosome in taken:
-            continue
-        key = rep.applied
-        if key not in seen:
-            seen.add(key)
-            taken.add(rep.chromosome)
-            chosen.append(rep.chromosome)
-    if len(chosen) < keep:
+    # (slots to fill, one per applied set, consistent theories only)
+    for limit, per_set, reserved in (((keep + 1) // 2, True, True), (keep, True, False),
+                                     (keep, False, False)):
         for rep in reports:
-            if len(chosen) >= keep:
+            if len(chosen) >= limit:
                 break
-            if rep.chromosome not in taken:
-                taken.add(rep.chromosome)
-                chosen.append(rep.chromosome)
+            if rep.chromosome in taken:
+                continue
+            if per_set:
+                if rep.applied in seen or (reserved and not cache.consistent(rep.applied)):
+                    continue
+                seen.add(rep.applied)
+            taken.add(rep.chromosome)
+            chosen.append(rep.chromosome)
     return chosen
 
 

@@ -128,13 +128,9 @@ class _VerdictCache:
             self.store[applied] = row
         return row
 
-    def consistency(self, applied: int) -> ProofOutcome:
-        """NOT_PROVED iff the theory `applied` spans is satisfiable."""
-        return self.verdicts(applied)[4]
-
     def consistent(self, applied: int) -> bool:
         """Whether the candidate theory is satisfiable; budget hits count as no."""
-        return self.consistency(applied) is ProofOutcome.NOT_PROVED
+        return self.verdicts(applied)[4] is ProofOutcome.NOT_PROVED
 
 
 def _staged_fixpoint(admissible: int, cache: _VerdictCache) -> list[int]:
@@ -218,7 +214,7 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     if blocked:
         if not consistent:
             about_w = "; the certain knowledge itself is inconsistent" \
-                if cache.consistency(0) is ProofOutcome.PROVED else ""
+                if cache.verdicts(0)[4] is ProofOutcome.PROVED else ""
             return Rejection("inconsistent",
                              "the candidate theory is inconsistent, refuting the "
                              "justifications of applied %s%s"

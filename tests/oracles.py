@@ -1,6 +1,6 @@
 """Reference answers the tests check gadel against, built from definitions
-alone: formula truth values, truth-table satisfiability, and a candidate's
-clause list read straight off its chromosome."""
+alone: formula truth values, truth-table satisfiability, a candidate's
+clause list read straight off its chromosome, and the penalty grid."""
 
 import itertools
 
@@ -63,3 +63,24 @@ def active_clauses(program, chromosome) -> list:
         if i in applied:
             out.extend(program.conclusion[i - 1])
     return out
+
+
+# every (pair, prereq_proved, justif_refuted) cell of the penalty grid and
+# the PenaltyTable weight it charges; the ten cells named None charge nothing
+PENALTY_GRID = [
+    ((1, 0), True, False, None), ((1, 0), True, True, "p2"),
+    ((1, 0), False, True, "p3"), ((1, 0), False, False, "p4"),
+    ((1, 1), True, False, "p5"), ((1, 1), True, True, None),
+    ((1, 1), False, True, None), ((1, 1), False, False, None),
+    ((0, 1), True, False, "p9"), ((0, 1), True, True, None),
+    ((0, 1), False, True, None), ((0, 1), False, False, None),
+    ((0, 0), True, False, "p13"), ((0, 0), True, True, None),
+    ((0, 0), False, True, None), ((0, 0), False, False, None),
+]
+
+
+def grid_penalty(table, pair, proved, refuted) -> float:
+    """The weight the grid charges one rule, 0.0 in an uncharged cell."""
+    slot, = [s for p, pre, ref, s in PENALTY_GRID
+             if (p, pre, ref) == (tuple(pair), bool(proved), bool(refuted))]
+    return getattr(table, slot) if slot else 0.0

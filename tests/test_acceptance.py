@@ -14,12 +14,12 @@ from gadel.bench import (batch_stats, build_hamiltonian, build_nixon,
                          build_people, complete_arcs, run_batch,
                          two_loops_demo)
 from gadel.engine import (GaParams, PenaltyTable, UNIT_PENALTIES,
-                          _VerdictCache, fitness, pair_penalty)
+                          _penalty, _VerdictCache, fitness)
 from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
 from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
-from oracles import active_clauses, applied_rules, truth_table_unsat
+from oracles import PENALTY_GRID, active_clauses, applied_rules, truth_table_unsat
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
 
@@ -177,24 +177,12 @@ def test_criterion_2_zero_fitness_candidates_match_enumeration():
 
 # --------------------------------------------------------------- criterion 3
 
-# every (pair, prereq_proved, justif_refuted) cell; six cells charge
-PENALTY_GRID = [
-    ((1, 0), True, False, None), ((1, 0), True, True, "p2"),
-    ((1, 0), False, True, "p3"), ((1, 0), False, False, "p4"),
-    ((1, 1), True, False, "p5"), ((1, 1), True, True, None),
-    ((1, 1), False, True, None), ((1, 1), False, False, None),
-    ((0, 1), True, False, "p9"), ((0, 1), True, True, None),
-    ((0, 1), False, True, None), ((0, 1), False, False, None),
-    ((0, 0), True, False, "p13"), ((0, 0), True, True, None),
-    ((0, 0), False, True, None), ((0, 0), False, False, None),
-]
-
-
 def test_criterion_3_penalty_grid():
     checked = 0
     for pair, pre, ref, slot in PENALTY_GRID:
         want = 1.0 if slot else 0.0
-        assert pair_penalty(UNIT_PENALTIES, pair, pre, ref) == want
+        # one rule: gene masks are the pair's bits, the row its two verdicts
+        assert _penalty(UNIT_PENALTIES, pair[0], pair[1], (pre, 0, ref)) == want
         checked += 1
     rng = random.Random(17)
     for _ in range(3):
@@ -203,7 +191,7 @@ def test_criterion_3_penalty_grid():
         table = PenaltyTable(**weights)
         for pair, pre, ref, slot in PENALTY_GRID:
             want = weights[slot] if slot else 0.0
-            assert pair_penalty(table, pair, pre, ref) == want
+            assert _penalty(table, pair[0], pair[1], (pre, 0, ref)) == want
             checked += 1
     _verdict(3, checked == 64, "all 16 rows, unit weights plus 3 random "
                                "weight vectors (%d cells)" % checked)

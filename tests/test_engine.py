@@ -8,42 +8,21 @@ import pytest
 
 from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
 from gadel.engine import (Exhausted, Found, GaParams, PenaltyTable,
-                          UNIT_PENALTIES, _descend, _select_parents,
+                          UNIT_PENALTIES, _descend, _penalty, _select_parents,
                           _VerdictCache, evolve, fitness, initial_population)
 from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
-from gadel.engine import pair_penalty
 from gadel import engine, verifier
 from gadel.verifier import verify
-
-
-# every (pair, prereq_proved, justif_refuted) cell of the penalty grid;
-# only six cells charge anything
-GRID = [
-    ((1, 0), True, False, 0.0),
-    ((1, 0), True, True, "p2"),
-    ((1, 0), False, True, "p3"),
-    ((1, 0), False, False, "p4"),
-    ((1, 1), True, False, "p5"),
-    ((1, 1), True, True, 0.0),
-    ((1, 1), False, True, 0.0),
-    ((1, 1), False, False, 0.0),
-    ((0, 1), True, False, "p9"),
-    ((0, 1), True, True, 0.0),
-    ((0, 1), False, True, 0.0),
-    ((0, 1), False, False, 0.0),
-    ((0, 0), True, False, "p13"),
-    ((0, 0), True, True, 0.0),
-    ((0, 0), False, True, 0.0),
-    ((0, 0), False, False, 0.0),
-]
+from oracles import PENALTY_GRID
 
 
 def test_pair_penalty_unit_grid():
-    for pair, pre, ref, expect in GRID:
-        want = 1.0 if isinstance(expect, str) else expect
-        assert pair_penalty(UNIT_PENALTIES, pair, pre, ref) == want
+    # one rule: gene masks are the pair's bits, the row its two verdicts
+    for pair, pre, ref, slot in PENALTY_GRID:
+        want = 1.0 if slot else 0.0
+        assert _penalty(UNIT_PENALTIES, pair[0], pair[1], (pre, 0, ref)) == want
 
 
 def test_pair_penalty_random_weights():
@@ -52,9 +31,9 @@ def test_pair_penalty_random_weights():
         weights = {name: rng.uniform(0.1, 9.0)
                    for name in ("p2", "p3", "p4", "p5", "p9", "p13")}
         table = PenaltyTable(**weights)
-        for pair, pre, ref, expect in GRID:
-            want = weights[expect] if isinstance(expect, str) else 0.0
-            assert pair_penalty(table, pair, pre, ref) == want
+        for pair, pre, ref, slot in PENALTY_GRID:
+            want = weights[slot] if slot else 0.0
+            assert _penalty(table, pair[0], pair[1], (pre, 0, ref)) == want
 
 
 def test_penalty_table_rejects_nonpositive():
@@ -136,9 +115,9 @@ def test_fitness_reports_budget_hits():
     t = parse_theory("w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e.")
     prog = compile_theory(t)
     tiny = fitness(prog, (0, 0), budget=ProofBudget(max_depth=1, max_splits=1))
-    assert tiny.budget_hits > 0 and tiny.hit_budget
+    assert tiny.budget_hits > 0
     full = fitness(prog, (0, 0))
-    assert full.budget_hits == 0 and not full.hit_budget
+    assert full.budget_hits == 0
     assert full.total == 1.0  # decided: applicable but unapplied
 
 
@@ -165,7 +144,7 @@ def test_fitness_report_applied():
     prog = compile_theory(t)
     cache = _VerdictCache(prog, DEFAULT_BUDGET)
     rep = fitness(prog, (1, 0, 1, 1), _cache=cache)
-    assert rep.total == 0.0 and not rep.hit_budget
+    assert rep.total == 0.0 and rep.budget_hits == 0
     assert rep.applied == 0b01  # rule mask: bit 0 is rule 1
     # the row behind it: rule 1's prerequisite proved (bit 0), nothing left
     # undecided, rule 2's justification !c refuted by c (bit 1), no budget

@@ -3,9 +3,10 @@ raw-clause reference path, on random clause programs and on rules with
 literal and compound prerequisites and justifications; the verifier with a
 verdict store the search filled, against a fresh store and exhaustive
 enumeration, on random default theories; fitness against the penalty grid
-summed rule by rule, on random theories and the people theory; the theory
-text format round trip; and the command line's exit codes on generated
-input."""
+summed rule by rule, on random theories and the people theory, and the mask
+scoring against the same sum on random masks; the theory text format round
+trip; and the command line's exit codes on generated input, oversized
+clause forms included."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,15 +19,16 @@ from hypothesis import strategies as st
 
 from gadel.bench import build_people
 from gadel.cli import main
-from gadel.engine import PenaltyTable, _penalty, fitness, pair_penalty
+from gadel.engine import UNIT_PENALTIES, PenaltyTable, _penalty, fitness
 from gadel.formulas import (MAX_NESTING, And, Atom, Clause, Not, Or, conj, disj,
                             format_theory, make_theory, parse_theory)
-from gadel.program import chromosome_from_applied, chromosome_from_mask, compile_theory
+from gadel.program import (MAX_PROGRAM_CLAUSES, chromosome_from_applied,
+                           chromosome_from_mask, compile_theory)
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                           ProofOutcome, refute_clauses)
 from gadel.verifier import (ExtensionCertificate, _VerdictCache, enumerate_extensions,
                             verify)
-from oracles import active_clauses, applied_rules, truth_table_unsat
+from oracles import active_clauses, applied_rules, grid_penalty, truth_table_unsat
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -166,28 +168,28 @@ PEOPLE = compile_theory(build_people(["man", "student"]))
 
 
 def pair_penalty_sum(program, chromosome, table):
-    """The rule-order sum of pair_penalty over the chromosome's gene pairs,
-    with each rule's verdicts asked of a fresh session."""
+    """The rule-order sum of the penalty grid over the chromosome's gene
+    pairs, with each rule's verdicts asked of a fresh session."""
     session = CandidateQuerySession(program, applied_rules(chromosome))
     total = 0.0
     for i in range(1, program.n_defaults + 1):
         proved = session.prereq_proved(i) is ProofOutcome.PROVED
         refuted = any(session.justification_refuted(i, j) is ProofOutcome.PROVED
                       for j in range(1, program.justification_count(i) + 1))
-        total += pair_penalty(table, tuple(chromosome[2 * i - 2:2 * i]), proved, refuted)
+        total += grid_penalty(table, chromosome[2 * i - 2:2 * i], proved, refuted)
     return total
 
 
 def check_fitness_sums(program, chromosomes, masks, table):
     store = _VerdictCache(program, DEFAULT_BUDGET)
-    n = program.n_defaults
     for chrom in chromosomes:
         assert fitness(program, chrom, table, _cache=store).total == \
             pair_penalty_sum(program, chrom, table)
     for mask in masks:
         # the polish walk's score of an applied mask, as `_descend` computes it
-        walk = _penalty(table, n, mask, 0, store.verdicts(mask))
-        assert walk == fitness(program, chromosome_from_mask(n, mask), table, _cache=store).total
+        walk = _penalty(table, mask, 0, store.verdicts(mask))
+        chrom = chromosome_from_mask(program.n_defaults, mask)
+        assert walk == fitness(program, chrom, table, _cache=store).total
 
 
 @given(theory=default_theories(), table=penalty_tables, data=st.data())
@@ -207,6 +209,23 @@ def test_fitness_is_the_pair_penalty_sum_on_people(table, data):
                                      min_size=1, max_size=3))
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3))
     check_fitness_sums(PEOPLE, chromosomes, masks, table)
+
+
+wide_weights = st.floats(min_value=1e-300, max_value=1e300)
+wide_tables = st.one_of(st.just(UNIT_PENALTIES), st.builds(PenaltyTable, *[wide_weights] * 6))
+
+
+@given(table=wide_tables, data=st.data())
+def test_penalty_masks_match_the_grid_sum(table, data):
+    # gene masks and a verdict row of up to 64 rules, scored against the
+    # grid's rule-order sum; equal as floats, not approximately
+    n = data.draw(st.integers(1, 64))
+    first, second, proved, refuted = data.draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * 4))
+    want = 0.0
+    for i in range(n):
+        want += grid_penalty(table, (first >> i & 1, second >> i & 1),
+                             proved >> i & 1, refuted >> i & 1)
+    assert _penalty(table, first, second, (proved, 0, refuted)) == want
 
 
 @settings(max_examples=50)
@@ -255,3 +274,21 @@ weight_text = st.one_of(st.floats().map(repr), st.text(max_size=4),
 def test_cli_on_random_penalties(theory_file, penalties):
     theory_file.write_text("w: r.\nw: q.\nd: r : !p / !p.\nd: q : p / p.\n")
     assert solve(theory_file, "--penalties=" + penalties) in (0, 1, 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(pairs=st.lists(st.integers(10, 12), min_size=5, max_size=40))
+def test_cli_on_oversized_clause_form(theory_file, pairs):
+    # each `w:` line is a DNF of k two-atom conjunctions over fresh atoms,
+    # 2**k clauses in clause form; 12-pair lines are added until the theory
+    # passes the cap
+    pairs = list(pairs)
+    while sum(1 << k for k in pairs) <= MAX_PROGRAM_CLAUSES:
+        pairs.append(12)
+    theory_file.write_text("".join(
+        "w: %s.\n" % " || ".join("a%d_%d && b%d_%d" % (line, p, line, p) for p in range(k))
+        for line, k in enumerate(pairs)))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert main(["check", str(theory_file), "--applied", ""]) == 2
+    assert "more than %d clauses" % MAX_PROGRAM_CLAUSES in err.getvalue()
