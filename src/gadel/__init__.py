@@ -6,7 +6,7 @@ from .formulas import (And, Atom, Default, DefaultTheory, Formula, Not, Or,
                        ParseError, format_theory, make_theory, parse_theory)
 from .program import ClauseProgram, chromosome_from_applied, compile_theory
 from .prover import DEFAULT_BUDGET, ProofBudget, ProofOutcome, refute_clauses
-from .verifier import (ExtensionCertificate, Rejection, certificate_json,
+from .verifier import (ExtensionCertificate, Rejection, UndecidedError, certificate_json,
                        enumerate_extensions, verify)
 
 __version__ = "0.1.0"
@@ -15,7 +15,7 @@ __all__ = [
     "And", "Atom", "ClauseProgram", "Default", "DefaultTheory", "DEFAULT_BUDGET",
     "Exhausted", "ExtensionCertificate", "Formula", "Found", "GaParams", "Not",
     "Or", "ParseError", "PenaltyTable", "ProofBudget", "ProofOutcome",
-    "Rejection", "SearchOutcome", "UNIT_PENALTIES", "certificate_json",
+    "Rejection", "SearchOutcome", "UNIT_PENALTIES", "UndecidedError", "certificate_json",
     "chromosome_from_applied", "compile_theory", "enumerate_extensions",
     "evolve", "fitness", "format_theory", "make_theory",
     "parse_theory", "refute_clauses", "verify",

@@ -52,6 +52,21 @@ def split_clauses(clauses) -> tuple[tuple, tuple, tuple]:
     return tuple(defs), tuple(negs), tuple(disj)
 
 
+def watch_index(defs) -> dict[int, tuple]:
+    """The watch index of a split group's one-head clauses: under the bit of
+    each atom that occurs in some body, the (head bit, body mask) pairs with
+    that atom in the body.  Forward chaining visits a clause only when one
+    of its body atoms is added."""
+    watch: dict[int, tuple] = {}
+    for clause in defs:
+        bm = clause[1]
+        while bm:
+            b = bm & -bm
+            bm ^= b
+            watch[b] = watch.get(b, ()) + (clause,)
+    return watch
+
+
 class ClauseProgram:
     """Compiled clause groups: world, and per rule conclusion, prereq, justif.
 
@@ -59,6 +74,10 @@ class ClauseProgram:
     conclusion_split per rule, and the distinct query groups, query_groups,
     with prereq_ids per rule and justif_ids per justification indexing them
     (rules whose prerequisites or justifications split alike share an id).
+    The one-head clauses of the world and of each consequent are indexed
+    for forward chaining: world_watch, and conclusion_watch keyed by rule
+    index, holding only the consequents that have a one-head clause with a
+    body.
     Nothing changes after compile_theory returns the program, so runs may
     share it.
     """
@@ -76,6 +95,9 @@ class ClauseProgram:
         self.justif = justif
         self.world_split = split_clauses(world)
         self.conclusion_split = [split_clauses(g) for g in conclusion]
+        self.world_watch = watch_index(self.world_split[0])
+        self.conclusion_watch = {i: w for i, g in enumerate(self.conclusion_split, 1)
+                                 if (w := watch_index(g[0]))}
         # the prerequisite and justification split groups, each distinct one once
         ids: dict[tuple, int] = {}
 

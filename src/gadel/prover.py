@@ -21,6 +21,20 @@ model (make every irrelevant atom true), so the answer is not proved; when
 every branch has closed, it is proved.  The loop keeps its branches in a
 list: no recursion, no process-wide state.
 
+Every closure is computed by propagation over watch lists (Dowling &
+Gallier, J. Logic Programming 1, 1984).  The compiled program lists each
+one-head clause with a body under every atom of that body, per group
+(`program.watch_index`), and a session merges the lists of the world and
+its applied consequents.  A closure always starts from a set already
+closed under those clauses plus some new atoms: the facts from nothing,
+the over-approximation from the closure plus the disjunctive heads, a
+query's closure from the base closure, and a model-generation child from
+its parent plus one head.  Only the clauses listed under an added atom
+are visited, so the cost follows the atoms added, not the program size.
+The query group's few one-head clauses are not indexed; they are
+rescanned each time the added atoms have all been visited.  A closure
+is a least fixpoint, so the visiting order changes no mask.
+
 `CandidateQuerySession` is the entry point: it gathers the candidate
 theory's split groups (see `program.split_clauses`, built at compile time)
 once and answers every question about that candidate (prerequisites,
@@ -52,7 +66,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .program import ClauseProgram, split_clauses
+from .program import ClauseProgram, split_clauses, watch_index
 
 
 class ProofOutcome(enum.Enum):
@@ -80,17 +94,30 @@ DEFAULT_BUDGET = ProofBudget()
 # atom-set operations over tuples of split-group parts
 
 
-def _closure(seed: int, def_groups) -> int:
-    m = seed
-    changed = True
-    while changed:
-        changed = False
-        for defs in def_groups:
-            for hb, bm in defs:
+def _propagate(m: int, new: int, watch, watched: int, qdefs=()) -> int:
+    """The least superset of m | new closed under the watched one-head
+    clauses and qdefs, where m is already closed under the watched ones.
+
+    `watch` lists the watched clauses under each of their body atoms, and
+    `watched` is the mask of those atoms.  Only the clauses listed under an
+    atom added since m are visited; qdefs is scanned each time the added
+    atoms have all been visited."""
+    m |= new
+    new &= watched
+    while True:
+        while new:
+            b = new & -new
+            new ^= b
+            for hb, bm in watch[b]:
                 if not (m & hb) and not (bm & ~m):
                     m |= hb
-                    changed = True
-    return m
+                    new |= hb & watched
+        for hb, bm in qdefs:
+            if not (m & hb) and not (bm & ~m):
+                m |= hb
+                new |= hb & watched
+        if not new:
+            return m
 
 
 def _fired(m: int, neg_groups) -> bool:
@@ -137,9 +164,12 @@ def _relevant(def_groups, neg_groups, disj_groups) -> int:
     return need
 
 
-def _engine(defs, negs, disj, m: int, budget: ProofBudget) -> ProofOutcome:
-    """Model generation from the closure m, which fires no constraint."""
-    need = _relevant(defs, negs, disj)
+def _engine(base, qdefs, qnegs, qdisj, m: int, budget: ProofBudget) -> ProofOutcome:
+    """Model generation from the closure m of the base clauses plus the
+    query group, which fires no constraint."""
+    defs, negs, disj, watch, watched = base[:5]
+    negs, disj = (negs, qnegs), (disj, qdisj)
+    need = _relevant((defs, qdefs), negs, disj)
     nodes, splits = budget.max_depth, budget.max_splits
     branches = [m]
     while branches:
@@ -158,50 +188,58 @@ def _engine(defs, negs, disj, m: int, budget: ProofBudget) -> ProofOutcome:
         while heads:
             hb = heads & -heads
             heads ^= hb
-            branches.append(_closure(m | hb, defs))
+            branches.append(_propagate(m, hb, watch, watched, qdefs))
     return ProofOutcome.PROVED
 
 
-def _base(defs, negs, disj):
+def _base(defs, negs, disj, watch):
     """Forward-chaining state of a fixed clause set: its split lists, the
-    closure m0, the over-approximated closure mplus, whether m0 fires a
-    constraint, whether m0 violates no disjunctive clause, and whether mplus
-    fires a constraint."""
-    m0 = _closure(0, (defs,))
+    watch index of its one-head clauses (see `program.watch_index`) and the
+    mask of atoms it lists, the closure m0, the over-approximated closure
+    mplus, whether m0 fires a constraint, whether m0 violates no disjunctive
+    clause, and whether mplus fires a constraint."""
+    watched = sum(watch)  # the keys are distinct atom bits
+    facts = 0
+    for hb, bm in defs:
+        if not bm:
+            facts |= hb
+    m0 = _propagate(0, facts, watch, watched)
     if _fired(m0, (negs,)):
-        return defs, negs, disj, m0, m0, True, False, True  # only the flag is read
-    mplus = _closure(m0 | _disj_heads((disj,)), (defs,))
-    return defs, negs, disj, m0, mplus, False, not _violated(m0, (disj,)), _fired(mplus, (negs,))
+        return defs, negs, disj, watch, watched, m0, m0, True, False, True  # only the flag is read
+    mplus = _propagate(m0, _disj_heads((disj,)) & ~m0, watch, watched)
+    return (defs, negs, disj, watch, watched, m0, mplus, False, not _violated(m0, (disj,)),
+            _fired(mplus, (negs,)))
 
 
 def _decide(base, qdefs, qnegs, qdisj, budget: ProofBudget) -> ProofOutcome:
     """PROVED iff the base clauses plus the query group are unsatisfiable."""
-    defs, negs, disj, m0, mplus, fired, model0, fired_plus = base
+    _defs, negs, disj, watch, watched, m0, mplus, fired, model0, fired_plus = base
     if fired:
         return ProofOutcome.PROVED  # the base alone fires a constraint
     grown = 0
     for hb, _bm in qdefs:
         grown |= hb
-    m = _closure(m0, (defs, qdefs)) if grown & ~m0 else m0
+    m = _propagate(m0, 0, watch, watched, qdefs) if grown & ~m0 else m0
     # a base constraint fires on m only if m grew past m0 and, since m0 and
     # mplus are closed, past mplus or while mplus fires one
     if _fired(m, (negs, qnegs) if m != m0 and (fired_plus or m & ~mplus) else (qnegs,)):
         return ProofOutcome.PROVED  # closed by forward chaining
     if not _violated(m, (qdisj,) if m == m0 and model0 else (disj, qdisj)):
         return ProofOutcome.NOT_PROVED  # closure is a model
-    defs, negs = (defs, qdefs), (negs, qnegs)
     if qdisj or grown & ~mplus:
-        reach = _fired(_closure(mplus | m | _disj_heads((qdisj,)), defs), negs)
+        top = _propagate(mplus, (m | _disj_heads((qdisj,))) & ~mplus, watch, watched, qdefs)
+        reach = _fired(top, (negs, qnegs))
     else:  # mplus is closed under the query's clauses too
         reach = fired_plus or _fired(mplus, (qnegs,))
     if not reach:
         return ProofOutcome.NOT_PROVED  # no constraint reachable
-    return _engine(defs, negs, (disj, qdisj), m, budget)
+    return _engine(base, qdefs, qnegs, qdisj, m, budget)
 
 
 def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
     """PROVED iff the clause set is propositionally unsatisfiable."""
-    return _decide(_base(*split_clauses(clauses)), (), (), (), budget)
+    defs, negs, disj = split_clauses(clauses)
+    return _decide(_base(defs, negs, disj, watch_index(defs)), (), (), (), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +265,16 @@ class CandidateQuerySession:
             defs.extend(gd)
             negs.extend(gn)
             disj.extend(gj)
-        self._base = _base(defs, negs, disj)
+        watch = program.world_watch
+        merged = program.conclusion_watch.keys() & applied
+        if merged:  # a copy, so that the program's indexes stay as compiled
+            watch = dict(watch)
+            for i in merged:
+                for b, clauses in program.conclusion_watch[i].items():
+                    watch[b] = watch.get(b, ()) + clauses
+        self._base = _base(defs, negs, disj, watch)
         # forward chaining alone refutes the candidate: every query is PROVED
-        self.chained_inconsistent = self._base[5]
+        self.chained_inconsistent = self._base[7]
         self._answers: list[ProofOutcome | None] = [None] * len(program.query_groups)
 
     def answer(self, qid: int) -> ProofOutcome:

@@ -34,13 +34,16 @@ stages of many candidates pass through the same few sets.  A stored row is
 what a fresh session gives, budget exhaustion included, so sharing it
 changes no score, certificate or rejection.
 
-`verify` answers its own candidate's justifications, consistency and atoms
-from a session of its own, opened with the store's program and budget, and
-never stores that candidate's row: an enumeration would otherwise keep one
-row per candidate.  A stage row is built only while some admissible rule
-(one whose justifications the candidate leaves unrefuted) is still outside
-the stage: a stage that has admitted all of them is the fixpoint, and
-asking for its row anyway would again add about one row per candidate.
+`verify` reads its own candidate's refuted justifications and consistency
+from the store when the store already holds that candidate's row with no
+budget hit and a decided consistency; otherwise, and for extension atoms
+and the circular-support check, it opens a session of its own with the
+store's program and budget.  It never stores that candidate's row: an
+enumeration would otherwise keep one row per candidate.  A stage row is
+built only while some admissible rule (one whose justifications the
+candidate leaves unrefuted) is still outside the stage: a stage that has
+admitted all of them is the fixpoint, and asking for its row anyway would
+again add about one row per candidate.
 """
 
 from __future__ import annotations
@@ -67,8 +70,10 @@ class Rejection:
     detail: str
 
 
-class _Undecided(Exception):
-    pass
+class UndecidedError(Exception):
+    """A question the proof budget left undecided.  `verify` turns it into an
+    "undecided" rejection; `enumerate_extensions` raises it, naming the
+    candidate's applied set, since that candidate may be an extension."""
 
 
 def _rules(mask: int) -> frozenset[int]:
@@ -141,8 +146,8 @@ def _staged_fixpoint(admissible: int, cache: _VerdictCache) -> list[int]:
         proved, exhausted = cache.verdicts(trace[-1])[:2]
         stuck = exhausted & todo
         if stuck:
-            raise _Undecided("prerequisite of rule %d not decided within budget"
-                             % (stuck & -stuck).bit_length())
+            raise UndecidedError("prerequisite of rule %d not decided within budget"
+                                 % (stuck & -stuck).bit_length())
         if not proved & todo:
             break
         trace.append(trace[-1] | proved & todo)
@@ -189,23 +194,31 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
     first, second = gene_masks(chromosome)
     applied = first & ~second
-    full = CandidateQuerySession(program, _rules(applied), cache.budget)
-    refuted, undecided = _refuted(program, full)
-    if undecided:
-        i, j = undecided[0]
-        return Rejection("undecided",
-                         "justification %d of rule %d not decided within budget" % (j, i))
+    row = cache.store.get(applied)
+    full = None  # the candidate's own session, opened only when needed
+    if row is not None and not row[3] and row[4] is not ProofOutcome.BUDGET_EXHAUSTED:
+        refuted, sat = row[2], row[4]
+    else:
+        full = CandidateQuerySession(program, _rules(applied), cache.budget)
+        refuted, undecided = _refuted(program, full)
+        if undecided:
+            i, j = undecided[0]
+            return Rejection("undecided",
+                             "justification %d of rule %d not decided within budget" % (j, i))
     try:
         trace = _staged_fixpoint(((1 << n) - 1) & ~refuted, cache)
-    except _Undecided as stop:
+    except UndecidedError as stop:
         return Rejection("undecided", str(stop))
     fixpoint = trace[-1]
-    sat = full.consistent()
-    if sat is ProofOutcome.BUDGET_EXHAUSTED:
-        return Rejection("undecided", "consistency of the candidate not decided within budget")
+    if full is not None:
+        sat = full.consistent()
+        if sat is ProofOutcome.BUDGET_EXHAUSTED:
+            return Rejection("undecided",
+                             "consistency of the candidate not decided within budget")
     consistent = sat is ProofOutcome.NOT_PROVED
 
     if fixpoint == applied:
+        full = full or CandidateQuerySession(program, _rules(applied), cache.budget)
         return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
                                     consistent, _derived_atoms(program, full))
 
@@ -223,6 +236,7 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
                          "the candidate theory refutes a justification of applied %s"
                          % _rules_word(blocked))
     if missing:
+        full = full or CandidateQuerySession(program, _rules(applied), cache.budget)
         circular = sum(1 << (i - 1) for i in sorted(_rules(missing))
                        if full.prereq_proved(i) is ProofOutcome.PROVED)
         if circular:
@@ -253,7 +267,9 @@ def enumerate_extensions(theory: DefaultTheory,
                          budget: ProofBudget = DEFAULT_BUDGET) -> list[ExtensionCertificate]:
     """Every extension of a small theory, one certificate each.
 
-    Walks all applied sets, so the rule count is capped at 12.
+    Walks all applied sets, so the rule count is capped at 12.  A candidate
+    the budget leaves undecided raises UndecidedError: it could be an
+    extension, so the list would not be complete without it.
     """
     program = compile_theory(theory)
     n = program.n_defaults
@@ -266,5 +282,8 @@ def enumerate_extensions(theory: DefaultTheory,
                      program=program, _cache=cache)
         if isinstance(got, ExtensionCertificate):
             found.append(got)
+        elif got.reason == "undecided":
+            raise UndecidedError("applied set {%s}: %s"
+                                 % (", ".join(map(str, sorted(_rules(mask)))), got.detail))
     found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))
     return found

@@ -1,6 +1,7 @@
 """Reference answers the tests check gadel against, built from definitions
-alone: formula truth values, truth-table satisfiability, a candidate's
-clause list read straight off its chromosome, and the penalty grid."""
+alone: formula truth values, truth-table satisfiability, forward chaining
+by rescanning every one-head clause, a candidate's clause list read
+straight off its chromosome, and the penalty grid."""
 
 import itertools
 
@@ -43,6 +44,22 @@ def truth_table_unsat(clauses, atom_count: int) -> bool:
         if ok:
             return False
     return True
+
+
+def closure(seed: int, def_groups) -> int:
+    """The least atom mask containing seed and closed under the one-head
+    clauses (head bit, body mask) of def_groups: rescan them all until
+    nothing changes."""
+    m = seed
+    changed = True
+    while changed:
+        changed = False
+        for defs in def_groups:
+            for hb, bm in defs:
+                if not (m & hb) and not (bm & ~m):
+                    m |= hb
+                    changed = True
+    return m
 
 
 def applied_rules(chromosome) -> frozenset[int]:

@@ -1,12 +1,13 @@
 """Property tests: the prover session against the truth table and the
 raw-clause reference path, on random clause programs and on rules with
-literal and compound prerequisites and justifications; the verifier with a
-verdict store the search filled, against a fresh store and exhaustive
-enumeration, on random default theories; fitness against the penalty grid
-summed rule by rule, on random theories and the people theory, and the mask
-scoring against the same sum on random masks; the theory text format round
-trip; and the command line's exit codes on generated input, oversized
-clause forms included."""
+literal and compound prerequisites and justifications; watch-list
+propagation against the rescanning closure; the verifier with a verdict
+store the search filled, against a fresh store and exhaustive enumeration
+(which must raise when a candidate is undecided), on random default
+theories; fitness against the penalty grid summed rule by rule, on random
+theories and the people theory, and the mask scoring against the same sum
+on random masks; the theory text format round trip; and the command line's
+exit codes on generated input, oversized clause forms included."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gadel.bench import build_people
@@ -23,12 +24,12 @@ from gadel.engine import UNIT_PENALTIES, PenaltyTable, _penalty, fitness
 from gadel.formulas import (MAX_NESTING, And, Atom, Clause, Not, Or, conj, disj,
                             format_theory, make_theory, parse_theory)
 from gadel.program import (MAX_PROGRAM_CLAUSES, chromosome_from_applied,
-                           chromosome_from_mask, compile_theory)
+                           chromosome_from_mask, compile_theory, watch_index)
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                          ProofOutcome, refute_clauses)
-from gadel.verifier import (ExtensionCertificate, _VerdictCache, enumerate_extensions,
-                            verify)
-from oracles import active_clauses, applied_rules, grid_penalty, truth_table_unsat
+                          ProofOutcome, _propagate, refute_clauses)
+from gadel.verifier import (ExtensionCertificate, UndecidedError, _VerdictCache,
+                            enumerate_extensions, verify)
+from oracles import active_clauses, applied_rules, closure, grid_penalty, truth_table_unsat
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -141,8 +142,35 @@ def default_theories(draw):
     return make_theory(world, rules)
 
 
+PROPAGATION_ATOMS = 12
+atom_masks = st.integers(0, (1 << PROPAGATION_ATOMS) - 1)
+one_head_clauses = st.tuples(st.integers(0, PROPAGATION_ATOMS - 1),
+                             st.sets(st.integers(0, PROPAGATION_ATOMS - 1), max_size=3)) \
+    .filter(lambda hb: hb[0] not in hb[1]) \
+    .map(lambda hb: (1 << hb[0], sum(1 << b for b in hb[1])))
+
+
+@given(defs=st.lists(one_head_clauses, max_size=20), qdefs=st.lists(one_head_clauses, max_size=4),
+       seed=atom_masks, new=atom_masks)
+def test_propagation_matches_the_rescanning_closure(defs, qdefs, seed, new):
+    # a base closed under the watched clauses, new atoms and a query group:
+    # visiting only the clauses watching an added atom reaches the same
+    # least fixpoint as rescanning every clause until nothing changes
+    base = closure(seed, (defs,))
+    watch = watch_index(defs)
+    got = _propagate(base, new, watch, sum(watch), tuple(qdefs))
+    assert got == closure(base | new, (defs, qdefs))
+
+
+# its one extension {1} needs three case splits to decide the empty set's
+# prerequisite, one more than TINY allows
+THREE_SPLITS = parse_theory("w: p || q.\nw: !p || x || y.\nw: !x || u || v.\nw: !u || r.\n"
+                            "w: !v || r.\nw: !y || r.\nw: !q || r.\nd: r : s / s.")
+
+
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
 @given(theory=default_theories())
+@example(theory=THREE_SPLITS)
 def test_verify_with_search_filled_store(budget, theory):
     program = compile_theory(theory)
     n = program.n_defaults
@@ -151,6 +179,7 @@ def test_verify_with_search_filled_store(budget, theory):
         chrom = tuple(bits >> k & 1 for k in range(2 * n))
         fitness(program, chrom, budget=budget, _cache=store)
     certified = set()
+    undecided = False
     for mask in range(1 << n):
         applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
         chrom = chromosome_from_applied(n, applied)
@@ -159,7 +188,13 @@ def test_verify_with_search_filled_store(budget, theory):
                              _cache=_VerdictCache(program, budget))
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
-    assert certified == {c.applied for c in enumerate_extensions(theory, budget)}
+        else:
+            undecided = undecided or got.reason == "undecided"
+    if undecided:  # the enumeration cannot be complete, and says so
+        with pytest.raises(UndecidedError):
+            enumerate_extensions(theory, budget)
+    else:
+        assert certified == {c.applied for c in enumerate_extensions(theory, budget)}
 
 
 weights = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)

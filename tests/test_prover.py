@@ -163,13 +163,13 @@ def test_inconsistent_candidate_answers_without_closure(monkeypatch):
     th = parse_theory("w: a.\nw: !a.\nd: a : b / c.\n")
     session = CandidateQuerySession(compile_theory(th), frozenset())
     calls = []
-    closure = prover._closure
+    propagate = prover._propagate
 
     def counted(*args):
         calls.append(args)
-        return closure(*args)
+        return propagate(*args)
 
-    monkeypatch.setattr(prover, "_closure", counted)
+    monkeypatch.setattr(prover, "_propagate", counted)
     assert session.justification_refuted(1, 1) is ProofOutcome.PROVED
     assert session.prereq_proved(1) is ProofOutcome.PROVED
     assert session.consistent() is ProofOutcome.PROVED

@@ -11,8 +11,9 @@ from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops
 from gadel import prover
 from gadel.program import chromosome_from_applied, compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
-from gadel.verifier import (ExtensionCertificate, Rejection, _rules, _VerdictCache,
-                            certificate_json, enumerate_extensions, verify)
+from gadel import verifier
+from gadel.verifier import (ExtensionCertificate, Rejection, UndecidedError, _rules,
+                            _VerdictCache, certificate_json, enumerate_extensions, verify)
 from oracles import active_clauses, truth_table_unsat
 
 
@@ -132,6 +133,18 @@ def test_undecided_on_tiny_budget():
     got = verify(t, (1, 0), ProofBudget(max_depth=1, max_splits=1))
     assert isinstance(got, Rejection)
     assert got.reason == "undecided"
+
+
+def test_enumeration_raises_on_an_undecided_candidate():
+    # one extension, {1}; with one split the empty set's prerequisite r
+    # (p or q, and each of x, y, q gives r) is left undecided, so the
+    # enumeration cannot tell whether it is complete
+    t = parse_theory("w: p || q.\nw: !p || x || y.\nw: !x || r.\nw: !y || r.\n"
+                     "w: !q || r.\nd: r : s / s.")
+    assert [c.applied for c in enumerate_extensions(t)] == [frozenset({1})]
+    with pytest.raises(UndecidedError,
+                       match=r"^applied set \{\}: prerequisite of rule 1 not decided"):
+        enumerate_extensions(t, ProofBudget(max_depth=100, max_splits=1))
 
 
 def test_verify_validates_chromosome():
@@ -324,3 +337,36 @@ def test_inconsistent_row_is_filled_from_masks(budget, monkeypatch):
         monkeypatch.undo()
         assert asked == []
         assert got == want == ((1 << prog.n_defaults) - 1, 0, refuted, 0, ProofOutcome.PROVED)
+
+
+def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
+    # with every row in the store, verify opens the candidate's own session
+    # only to list a certificate's extension atoms, to tell circular support
+    # from an underivable prerequisite, or when the row leaves consistency
+    # undecided (every query of this W's row is settled by forward chaining,
+    # but its consistency needs two splits); it answers as on a fresh store
+    hard_w = parse_theory("w: p || q.\nw: !p || x || y.\nw: !x || r.\nw: !y || r.\n"
+                          "w: !q || r.\nw: !r.\nd: t || !t : / a.")
+    one_split = ProofBudget(max_depth=100, max_splits=1)
+    cases = [(build_nixon(), set(), DEFAULT_BUDGET, "missing-applicable", 0),
+             (build_nixon(), {1, 2}, DEFAULT_BUDGET, "inconsistent", 0),
+             (parse_theory("w: a.\nw: !b.\nd: a : b / c."), {1}, DEFAULT_BUDGET,
+              "blocked-justification", 0),
+             (build_nixon(), {1}, DEFAULT_BUDGET, "certified", 1),
+             (parse_theory("d: a : t / b.\nd: b : u / a."), {1, 2}, DEFAULT_BUDGET,
+              "ungrounded", 1),
+             (hard_w, {1}, one_split, "undecided", 1)]
+    for theory, applied, budget, reason, sessions in cases:
+        prog = compile_theory(theory)
+        chrom = chromosome_from_applied(prog.n_defaults, applied)
+        store = _VerdictCache(prog, budget)
+        want = verify(theory, chrom, budget, program=prog, _cache=store)
+        store.verdicts(sum(1 << (i - 1) for i in applied))
+        opened = []
+        monkeypatch.setattr(verifier, "CandidateQuerySession",
+                            lambda *args: opened.append(args) or CandidateQuerySession(*args))
+        got = verify(theory, chrom, budget, program=prog, _cache=store)
+        monkeypatch.undo()
+        assert got == want
+        assert getattr(got, "reason", "certified") == reason
+        assert len(opened) == sessions
