@@ -224,8 +224,11 @@ def run_batch(theory: DefaultTheory, params: GaParams, repetitions: int,
     Each run gives one JSON record: problem, seed, outcome ("found" or
     "exhausted"), generations, restarts, wall_ms, rejection_reasons as
     [reason, count] pairs and zero_fitness_rejected, their total; a found
-    run adds its chromosome and certificate.
+    run adds its chromosome and certificate.  ValueError unless
+    repetitions is at least 1.
     """
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1, got %d" % repetitions)
     program = compile_theory(theory)
     records = []
     for k in range(repetitions):

@@ -9,12 +9,16 @@ clauses participate in a query:
 * the negated prerequisite of rule i is active only for the query "does
   the candidate theory entail prerequisite i";
 * the clause form of justification (i, j) is active only for the query
-  "does the candidate theory refute justification (i, j)".
+  "does the candidate theory refute justification (i, j)";
+* two more query groups need no formula: the empty group asks "is the
+  candidate theory inconsistent", and the constraint "<- a" asks "does
+  it entail atom a".
 
 Selecting groups at query time replaces re-normalizing formulas for every
-chromosome the search evaluates.  Every group is also split once, at
-compile time, into the integer masks the prover reads.  An applied set is
-a rule mask, bit i-1 for rule i, read off a chromosome by `gene_masks`.
+chromosome the search evaluates.  Every group is split once, at compile
+time, into the integer masks the prover reads, and only that split form
+is kept.  An applied set is a rule mask, bit i-1 for rule i, read off a
+chromosome by `gene_masks`.
 """
 
 from __future__ import annotations
@@ -68,16 +72,20 @@ def watch_index(defs) -> dict[int, tuple]:
 
 
 class ClauseProgram:
-    """Compiled clause groups: world, and per rule conclusion, prereq, justif.
+    """Compiled clause groups, each kept only as its split group.
 
-    Each group also comes as a split group, built once here: world_split,
-    conclusion_split per rule, and the distinct query groups, query_groups,
-    with prereq_ids per rule and justif_ids per justification indexing them
-    (rules whose prerequisites or justifications split alike share an id).
-    The one-head clauses of the world and of each consequent are indexed
-    for forward chaining: world_watch, and conclusion_watch keyed by rule
-    index, holding only the consequents that have a one-head clause with a
-    body.
+    The world and each rule's consequent are world_split and
+    conclusion_split.  Every question a prover session answers is one of
+    the distinct query groups, query_groups, named by an id:
+    prereq_ids per rule, justif_ids per justification, consistency_id for
+    the empty group (is the candidate inconsistent) and atom_ids per atom
+    (the constraint "<- a": does the candidate entail a).  Groups that
+    split alike share an id, so an atom's entailment may share the id of a
+    prerequisite or justification; prerequisite and justification groups
+    come first.  The one-head clauses of the world and of each consequent
+    are indexed for forward chaining: world_watch, and conclusion_watch
+    keyed by rule index, holding only the consequents that have a one-head
+    clause with a body.
     Nothing changes after compile_theory returns the program, so runs may
     share it.
     """
@@ -85,31 +93,26 @@ class ClauseProgram:
     def __init__(self, theory: DefaultTheory, world: tuple[Clause, ...],
                  conclusion: list[tuple[Clause, ...]], prereq: list[tuple[Clause, ...]],
                  justif: list[list[tuple[Clause, ...]]]):
-        self.theory = theory
         self.n_defaults = theory.n_defaults
         self.atom_names = tuple(theory.atoms.names)
         self.atom_count = len(self.atom_names)
-        self.world = world
-        self.conclusion = conclusion
-        self.prereq = prereq
-        self.justif = justif
         self.world_split = split_clauses(world)
         self.conclusion_split = [split_clauses(g) for g in conclusion]
         self.world_watch = watch_index(self.world_split[0])
         self.conclusion_watch = {i: w for i, g in enumerate(self.conclusion_split, 1)
                                  if (w := watch_index(g[0]))}
-        # the prerequisite and justification split groups, each distinct one once
+        # every query's split group, each distinct one once
         ids: dict[tuple, int] = {}
 
-        def intern(group) -> int:
-            return ids.setdefault(split_clauses(group), len(ids))
+        def intern(split) -> int:
+            return ids.setdefault(split, len(ids))
 
-        self.prereq_ids = tuple([intern(g) for g in prereq])
-        self.justif_ids = tuple([tuple([intern(g) for g in rows]) for rows in justif])
+        self.prereq_ids = tuple([intern(split_clauses(g)) for g in prereq])
+        self.justif_ids = tuple([tuple([intern(split_clauses(g)) for g in rows])
+                                 for rows in justif])
+        self.consistency_id = intern(((), (), ()))
+        self.atom_ids = tuple([intern(((), (1 << a,), ())) for a in range(self.atom_count)])
         self.query_groups = tuple(ids)
-
-    def justification_count(self, i: int) -> int:
-        return len(self.justif[i - 1])
 
 
 # All groups of a compiled program together stop at this many clauses; the

@@ -35,26 +35,25 @@ The query group's few one-head clauses are not indexed; they are
 rescanned each time the added atoms have all been visited.  A closure
 is a least fixpoint, so the visiting order changes no mask.
 
-`CandidateQuerySession` is the entry point: it gathers the candidate
-theory's split groups (see `program.split_clauses`, built at compile time)
-once and answers every question about that candidate (prerequisites,
-justifications, consistency, atom entailment) by overlaying at most one
-small group.  `refute_clauses` decides a raw clause list through the same
-decision function and is the reference path the tests check the session
-against.  The session's clause lists are in the order `refute_clauses`
-gives the same raw list, so both reach the same verdict with the same
-budget use.
+`CandidateQuerySession` is the entry point and `answer` its one query: it
+gathers the candidate theory's split groups (see `program.split_clauses`,
+built at compile time) once and answers every question about that
+candidate by overlaying one of the program's interned query groups
+(`program.query_groups`): a prerequisite, a justification, the empty
+group for consistency, or "<- a" for the entailment of atom a.
+`refute_clauses` decides a raw clause list through the same decision
+function and is the reference path the tests check the session against.
+The session's clause lists are in the order `refute_clauses` gives the
+same raw list, so both reach the same verdict with the same budget use.
 
-Prerequisites and justifications are the program's distinct query groups
-(`program.query_groups`).  A session decides each group at most once and
-keeps the answer.  That is exact: a decision depends only on the
-candidate, the group and the budget, and every model-generation search
-starts with the full budget.  The session's base also records whether
-the closure violates no disjunctive clause and whether the
-over-approximated closure fires a constraint.  A group of constraints
-only, or of facts already in the closure, then needs no closure of its
-own, and one of facts already in the over-approximated closure needs one
-closure instead of two.
+A session decides each query group at most once and keeps the answer.
+That is exact: a decision depends only on the candidate, the group and
+the budget, and every model-generation search starts with the full
+budget.  The session's base also records whether the closure violates no
+disjunctive clause and whether the over-approximated closure fires a
+constraint.  A group of constraints only, or of facts already in the
+closure, then needs no closure of its own, and one of facts already in
+the over-approximated closure needs one closure instead of two.
 
 Budgets cap the branch nodes (max_depth) and the splits (max_splits) of
 one model-generation search.  A search cut short reports BUDGET_EXHAUSTED
@@ -251,9 +250,7 @@ class CandidateQuerySession:
 
     The candidate theory (W plus applied consequents) is fixed, so its
     split groups, closure and over-approximated closure are gathered once,
-    and each query only overlays its own small split group.  Rule and
-    justification indices are 1-based and atom ids 0-based; any other index
-    is an IndexError.
+    and each query only overlays its own small split group.
     """
 
     def __init__(self, program: ClauseProgram, applied, budget: ProofBudget = DEFAULT_BUDGET):
@@ -285,28 +282,3 @@ class CandidateQuerySession:
             qdefs, qnegs, qdisj = self.program.query_groups[qid]
             got = self._answers[qid] = _decide(self._base, qdefs, qnegs, qdisj, self.budget)
         return got
-
-    def prereq_proved(self, i: int) -> ProofOutcome:
-        """PROVED iff the candidate theory entails rule i's prerequisite."""
-        if not 0 < i <= self.program.n_defaults:
-            raise IndexError("no default with index %d" % i)
-        return self.answer(self.program.prereq_ids[i - 1])
-
-    def justification_refuted(self, i: int, j: int) -> ProofOutcome:
-        """PROVED iff the candidate theory refutes justification j of rule i."""
-        if not 0 < i <= self.program.n_defaults:
-            raise IndexError("no default with index %d" % i)
-        ids = self.program.justif_ids[i - 1]
-        if not 0 < j <= len(ids):
-            raise IndexError("default %d has no justification %d" % (i, j))
-        return self.answer(ids[j - 1])
-
-    def consistent(self) -> ProofOutcome:
-        """NOT_PROVED iff the candidate theory is satisfiable."""
-        return _decide(self._base, (), (), (), self.budget)
-
-    def entails_atom(self, aid: int) -> ProofOutcome:
-        """PROVED iff the candidate theory entails atom `aid`."""
-        if not 0 <= aid < self.program.atom_count:
-            raise IndexError("no atom with id %d" % aid)
-        return _decide(self._base, (), (1 << aid,), (), self.budget)

@@ -34,16 +34,17 @@ stages of many candidates pass through the same few sets.  A stored row is
 what a fresh session gives, budget exhaustion included, so sharing it
 changes no score, certificate or rejection.
 
-`verify` reads its own candidate's refuted justifications and consistency
-from the store when the store already holds that candidate's row with no
-budget hit and a decided consistency; otherwise, and for extension atoms
-and the circular-support check, it opens a session of its own with the
-store's program and budget.  It never stores that candidate's row: an
-enumeration would otherwise keep one row per candidate.  A stage row is
+`verify` reads its own candidate's row like that of any other applied
+set: the refuted justifications, the consistency, and for the
+circular-support check the proved prerequisites.  It opens a session of
+its own only to name the first undecided justification of a row with
+budget hits, and to list a certificate's extension atoms, with the
+store's program and budget.  An enumeration therefore keeps one row per
+candidate, at most 2^12, plus the rows of their stages.  A stage row is
 built only while some admissible rule (one whose justifications the
 candidate leaves unrefuted) is still outside the stage: a stage that has
-admitted all of them is the fixpoint, and asking for its row anyway would
-again add about one row per candidate.
+admitted all of them is the fixpoint, and needs no row of its own unless
+it is a candidate.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ class _VerdictCache:
                         exhausted |= 1 << i
                 refuted, undecided = _refuted(self.program, session)
                 row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided),
-                       session.consistent())
+                       session.answer(self.program.consistency_id))
             self.store[applied] = row
         return row
 
@@ -159,12 +160,12 @@ def _derived_atoms(program: ClauseProgram,
     if program.atom_count > 64:
         return None
     names = []
-    for aid in range(program.atom_count):
-        got = session.entails_atom(aid)
+    for name, qid in zip(program.atom_names, program.atom_ids):
+        got = session.answer(qid)
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             return None
         if got is ProofOutcome.PROVED:
-            names.append(program.atom_names[aid])
+            names.append(name)
     return tuple(sorted(names))
 
 
@@ -194,13 +195,10 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
     first, second = gene_masks(chromosome)
     applied = first & ~second
-    row = cache.store.get(applied)
-    full = None  # the candidate's own session, opened only when needed
-    if row is not None and not row[3] and row[4] is not ProofOutcome.BUDGET_EXHAUSTED:
-        refuted, sat = row[2], row[4]
-    else:
-        full = CandidateQuerySession(program, _rules(applied), cache.budget)
-        refuted, undecided = _refuted(program, full)
+    proved, _, refuted, hits, sat = cache.verdicts(applied)
+    if hits:  # name the first undecided justification, if the hits include one
+        undecided = _refuted(program, CandidateQuerySession(program, _rules(applied),
+                                                            cache.budget))[1]
         if undecided:
             i, j = undecided[0]
             return Rejection("undecided",
@@ -210,17 +208,14 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     except UndecidedError as stop:
         return Rejection("undecided", str(stop))
     fixpoint = trace[-1]
-    if full is not None:
-        sat = full.consistent()
-        if sat is ProofOutcome.BUDGET_EXHAUSTED:
-            return Rejection("undecided",
-                             "consistency of the candidate not decided within budget")
+    if sat is ProofOutcome.BUDGET_EXHAUSTED:
+        return Rejection("undecided", "consistency of the candidate not decided within budget")
     consistent = sat is ProofOutcome.NOT_PROVED
 
     if fixpoint == applied:
-        full = full or CandidateQuerySession(program, _rules(applied), cache.budget)
+        session = CandidateQuerySession(program, _rules(applied), cache.budget)
         return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
-                                    consistent, _derived_atoms(program, full))
+                                    consistent, _derived_atoms(program, session))
 
     missing = applied & ~fixpoint
     blocked = missing & refuted
@@ -236,9 +231,7 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
                          "the candidate theory refutes a justification of applied %s"
                          % _rules_word(blocked))
     if missing:
-        full = full or CandidateQuerySession(program, _rules(applied), cache.budget)
-        circular = sum(1 << (i - 1) for i in sorted(_rules(missing))
-                       if full.prereq_proved(i) is ProofOutcome.PROVED)
+        circular = proved & missing
         if circular:
             detail = ("circular support: %s never admitted by the stages"
                       % _rules_word(circular))

@@ -1,11 +1,12 @@
 """Reference answers the tests check gadel against, built from definitions
 alone: formula truth values, truth-table satisfiability, forward chaining
-by rescanning every one-head clause, a candidate's clause list read
-straight off its chromosome, and the penalty grid."""
+by rescanning every one-head clause, a theory's clause groups rebuilt
+from its formulas, a candidate's clause list read straight off its
+chromosome, and the penalty grid."""
 
 import itertools
 
-from gadel.formulas import And, Atom, Not
+from gadel.formulas import And, Atom, Clause, Not, to_cnf
 
 
 def evaluate(f, assignment: dict[str, bool]) -> bool:
@@ -68,17 +69,32 @@ def applied_rules(chromosome) -> frozenset[int]:
                      if tuple(chromosome[2 * i - 2:2 * i]) == (1, 0))
 
 
-def active_clauses(program, chromosome) -> list:
+def raw_groups(theory):
+    """The theory's clause groups (world, conclusion per rule, negated
+    prerequisite per rule, justifications per rule), rebuilt with to_cnf in
+    compile_theory's order: per formula, sorted by Clause.sort_key."""
+    def form(f) -> tuple:
+        return tuple(sorted(to_cnf(f, theory.atoms), key=Clause.sort_key))
+
+    world = tuple(c for f in theory.world for c in form(f))
+    conclusion = [form(d.consequent) for d in theory.defaults]
+    prereq = [form(Not(d.prerequisite)) for d in theory.defaults]
+    justif = [[form(beta) for beta in d.justifications] for d in theory.defaults]
+    return world, conclusion, prereq, justif
+
+
+def active_clauses(theory, chromosome) -> list:
     """The candidate theory's clauses: world, then each applied consequent, in rule order."""
-    if len(chromosome) != 2 * program.n_defaults:
+    if len(chromosome) != 2 * theory.n_defaults:
         raise ValueError(
-            "chromosome length %d, expected %d" % (len(chromosome), 2 * program.n_defaults)
+            "chromosome length %d, expected %d" % (len(chromosome), 2 * theory.n_defaults)
         )
     applied = applied_rules(chromosome)
-    out = list(program.world)
-    for i in range(1, program.n_defaults + 1):
+    world, conclusion = raw_groups(theory)[:2]
+    out = list(world)
+    for i in range(1, theory.n_defaults + 1):
         if i in applied:
-            out.extend(program.conclusion[i - 1])
+            out.extend(conclusion[i - 1])
     return out
 
 

@@ -19,7 +19,7 @@ from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
 from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
-from oracles import PENALTY_GRID, active_clauses, applied_rules, truth_table_unsat
+from oracles import PENALTY_GRID, active_clauses, applied_rules, raw_groups, truth_table_unsat
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
 
@@ -61,27 +61,29 @@ def test_criterion_1_prover_matches_oracle():
     t0 = time.perf_counter()
     total = mismatches = hits = with_split = 0
     while total < 520:
-        program = compile_theory(_query_theory(rng))
+        theory = _query_theory(rng)
+        program = compile_theory(theory)
         if program.atom_count > 12:
             continue
         n = program.n_defaults
+        _world, _conclusion, prereq, justif = raw_groups(theory)
         chrom = tuple(rng.randint(0, 1) for _ in range(2 * n))
         i = rng.randint(1, n)
-        justs = program.justif[i - 1]
+        justs = justif[i - 1]
         if justs and rng.random() < 0.5:
             j = rng.randint(1, len(justs))
-            group = justs[j - 1]
+            group, qid = justs[j - 1], program.justif_ids[i - 1][j - 1]
         else:
-            j = 0  # the prerequisite query
-            group = program.prereq[i - 1]
-        active = active_clauses(program, chrom) + list(group)
+            # the prerequisite query
+            group, qid = prereq[i - 1], program.prereq_ids[i - 1]
+        active = active_clauses(theory, chrom) + list(group)
         if sum(1 for c in active if len(c.heads) >= 2) > 3:
             continue
         total += 1
         if any(len(c.heads) >= 2 for c in active):
             with_split += 1
         session = CandidateQuerySession(program, applied_rules(chrom), WIDE)
-        got = session.justification_refuted(i, j) if j else session.prereq_proved(i)
+        got = session.answer(qid)
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             hits += 1
             continue

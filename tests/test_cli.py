@@ -206,6 +206,14 @@ def test_bench_exit_one_when_nothing_found(tmp_path, capsys):
     assert len(lines) == 4              # header, two rows, summary
 
 
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_bench_without_repetitions_is_a_usage_error(nixon_file, capsys, reps):
+    assert main(["bench", nixon_file, "--reps", reps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gadel: repetitions must be at least 1, got %s\n" % reps
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["solve", "/no/such/file.dt"]) == 2
     assert capsys.readouterr().err.startswith("gadel: ")

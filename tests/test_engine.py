@@ -150,7 +150,7 @@ def test_fitness_report_applied():
     # undecided, rule 2's justification !c refuted by c (bit 1), no budget
     # hits, and the candidate {a, c} consistent, as a fresh session says
     assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, 0, ProofOutcome.NOT_PROVED)
-    assert cache.verdicts(rep.applied)[4] is CandidateQuerySession(prog, {1}).consistent()
+    assert cache.verdicts(rep.applied)[4] is CandidateQuerySession(prog, {1}).answer(prog.consistency_id)
     assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == 0b10
 
 

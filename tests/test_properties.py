@@ -29,7 +29,8 @@ from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                           ProofOutcome, _propagate, refute_clauses)
 from gadel.verifier import (ExtensionCertificate, UndecidedError, _VerdictCache,
                             enumerate_extensions, verify)
-from oracles import active_clauses, applied_rules, closure, grid_penalty, truth_table_unsat
+from oracles import (active_clauses, applied_rules, closure, grid_penalty, raw_groups,
+                     truth_table_unsat)
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -42,8 +43,9 @@ def clause_formula(heads, body):
 
 @st.composite
 def clause_programs(draw):
-    """A compiled program whose world and rule consequents are random clause
-    sets over at most MAX_ATOMS atoms, and an applied set of its rules."""
+    """A theory whose world and rule consequents are random clause sets over
+    at most MAX_ATOMS atoms, its compiled program, and an applied set of its
+    rules."""
     n = draw(st.integers(1, MAX_ATOMS))
     literals = st.sets(st.integers(0, n - 1), max_size=3)
     clause = st.tuples(literals, literals).filter(lambda hb: hb[0] or hb[1])
@@ -54,19 +56,20 @@ def clause_programs(draw):
         [(Atom("x0"), [], conj(*[clause_formula(h, b) for h, b in g])) for g in groups])
     program = compile_theory(theory)
     applied = draw(st.sets(st.integers(1, program.n_defaults)))
-    return program, frozenset(applied)
+    return theory, program, frozenset(applied)
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
 @given(case=clause_programs())
 def test_session_matches_reference_and_truth_table(budget, case):
-    program, applied = case
+    # the consistency group and every atom's entailment group
+    theory, program, applied = case
     session = CandidateQuerySession(program, applied, budget)
-    base = active_clauses(program, chromosome_from_applied(program.n_defaults, applied))
-    queries = [(session.consistent(), base)]
-    for aid in range(program.atom_count):
+    base = active_clauses(theory, chromosome_from_applied(program.n_defaults, applied))
+    queries = [(session.answer(program.consistency_id), base)]
+    for aid, qid in enumerate(program.atom_ids):
         goal = Clause(frozenset(), frozenset((aid,)))
-        queries.append((session.entails_atom(aid), base + [goal]))
+        queries.append((session.answer(qid), base + [goal]))
     for got, clauses in queries:
         # the same verdict and the same budget use as the raw-list reference
         assert got is refute_clauses(clauses, budget)
@@ -81,7 +84,7 @@ def literal_query_programs(draw):
     justifications are mostly single literals (a positive literal's
     prerequisite is a constraint group and its justification a unit group,
     a negative one's the other way round) and sometimes compound formulas,
-    which take the general path; and an applied set of its rules."""
+    which take the general path; the theory, and an applied set of its rules."""
     n = draw(st.integers(3, 5))  # few atoms, so queries meet the world's clauses
     atom = st.integers(0, n - 1).map(lambda k: Atom("x%d" % k))
     literal = st.one_of(atom, atom.map(Not))
@@ -98,9 +101,10 @@ def literal_query_programs(draw):
     rules = draw(st.lists(st.tuples(part, st.lists(part, max_size=3),
                                     st.one_of(part, clause.map(lambda hb: clause_formula(*hb)))),
                           min_size=1, max_size=4))
-    program = compile_theory(make_theory([clause_formula(h, b) for h, b in world], rules))
+    theory = make_theory([clause_formula(h, b) for h, b in world], rules)
+    program = compile_theory(theory)
     applied = draw(st.sets(st.integers(1, program.n_defaults)))
-    return program, frozenset(applied)
+    return theory, program, frozenset(applied)
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
@@ -109,19 +113,19 @@ def literal_query_programs(draw):
 def test_rule_queries_match_reference_in_any_order(budget, case, data):
     # every prerequisite and justification query, each asked twice in a
     # shuffled order of one session, answers as the raw-list reference does
-    program, applied = case
+    theory, program, applied = case
     n = program.n_defaults
-    queries = [(i, j) for i in range(1, n + 1)
-               for j in range(program.justification_count(i) + 1)]
+    _world, _conclusion, prereq, justif = raw_groups(theory)
+    queries = [(i, j) for i in range(1, n + 1) for j in range(len(justif[i - 1]) + 1)]
     session = CandidateQuerySession(program, applied, budget)
-    base = active_clauses(program, chromosome_from_applied(n, applied))
+    base = active_clauses(theory, chromosome_from_applied(n, applied))
     for i, j in data.draw(st.permutations(queries * 2)):
         if j:
-            got = session.justification_refuted(i, j)
-            clauses = base + list(program.justif[i - 1][j - 1])
+            got = session.answer(program.justif_ids[i - 1][j - 1])
+            clauses = base + list(justif[i - 1][j - 1])
         else:
-            got = session.prereq_proved(i)
-            clauses = base + list(program.prereq[i - 1])
+            got = session.answer(program.prereq_ids[i - 1])
+            clauses = base + list(prereq[i - 1])
         assert got is refute_clauses(clauses, budget)
         if got is not ProofOutcome.BUDGET_EXHAUSTED:
             assert (got is ProofOutcome.PROVED) == truth_table_unsat(clauses, program.atom_count)
@@ -208,9 +212,9 @@ def pair_penalty_sum(program, chromosome, table):
     session = CandidateQuerySession(program, applied_rules(chromosome))
     total = 0.0
     for i in range(1, program.n_defaults + 1):
-        proved = session.prereq_proved(i) is ProofOutcome.PROVED
-        refuted = any(session.justification_refuted(i, j) is ProofOutcome.PROVED
-                      for j in range(1, program.justification_count(i) + 1))
+        proved = session.answer(program.prereq_ids[i - 1]) is ProofOutcome.PROVED
+        refuted = any(session.answer(qid) is ProofOutcome.PROVED
+                      for qid in program.justif_ids[i - 1])
         total += grid_penalty(table, chromosome[2 * i - 2:2 * i], proved, refuted)
     return total
 

@@ -10,7 +10,7 @@ from gadel import prover
 from gadel.program import compile_theory
 from gadel.prover import (CandidateQuerySession, DEFAULT_BUDGET, ProofBudget,
                           ProofOutcome, refute_clauses)
-from oracles import truth_table_unsat
+from oracles import raw_groups, truth_table_unsat
 
 
 def cl(heads, body=()):
@@ -131,29 +131,18 @@ def test_prereq_and_justification_queries():
     program = compile_theory(th)
     nothing = CandidateQuerySession(program, frozenset())
     first = CandidateQuerySession(program, frozenset((1,)))
-    assert nothing.prereq_proved(1) is ProofOutcome.PROVED
-    assert nothing.prereq_proved(2) is ProofOutcome.NOT_PROVED
-    assert first.prereq_proved(2) is ProofOutcome.PROVED
+    prereq, justif = program.prereq_ids, program.justif_ids
+    assert nothing.answer(prereq[0]) is ProofOutcome.PROVED
+    assert nothing.answer(prereq[1]) is ProofOutcome.NOT_PROVED
+    assert first.answer(prereq[1]) is ProofOutcome.PROVED
     # W ∪ {c} entails a, refuting justification !a of rule 2
-    assert first.justification_refuted(2, 1) is ProofOutcome.PROVED
-    assert nothing.justification_refuted(1, 1) is ProofOutcome.NOT_PROVED
-
-
-def test_session_rejects_out_of_range_indices():
-    th = parse_theory("w: a.\nd: a : b / c.\nd: c : !a / d.\n")
-    program = compile_theory(th)
-    session = CandidateQuerySession(program, frozenset())
-    for i in (0, -1, 3):
-        with pytest.raises(IndexError):
-            session.prereq_proved(i)
-        with pytest.raises(IndexError):
-            session.justification_refuted(i, 1)
-    for j in (0, -1, 2):
-        with pytest.raises(IndexError):
-            session.justification_refuted(1, j)
-    for aid in (-1, program.atom_count, 100):
-        with pytest.raises(IndexError):
-            session.entails_atom(aid)
+    assert first.answer(justif[1][0]) is ProofOutcome.PROVED
+    assert nothing.answer(justif[0][0]) is ProofOutcome.NOT_PROVED
+    # consistency and atom entailment are query groups too
+    assert first.answer(program.consistency_id) is ProofOutcome.NOT_PROVED
+    entailed = [first.answer(q) is ProofOutcome.PROVED for q in program.atom_ids]
+    assert dict(zip(program.atom_names, entailed)) == {"a": True, "b": False, "c": True,
+                                                       "d": False}
 
 
 def test_inconsistent_candidate_answers_without_closure(monkeypatch):
@@ -161,7 +150,8 @@ def test_inconsistent_candidate_answers_without_closure(monkeypatch):
     # query is PROVED before its group (the unit clause b of justification
     # b, the constraint <- a of prerequisite a) is closed over
     th = parse_theory("w: a.\nw: !a.\nd: a : b / c.\n")
-    session = CandidateQuerySession(compile_theory(th), frozenset())
+    program = compile_theory(th)
+    session = CandidateQuerySession(program, frozenset())
     calls = []
     propagate = prover._propagate
 
@@ -170,9 +160,8 @@ def test_inconsistent_candidate_answers_without_closure(monkeypatch):
         return propagate(*args)
 
     monkeypatch.setattr(prover, "_propagate", counted)
-    assert session.justification_refuted(1, 1) is ProofOutcome.PROVED
-    assert session.prereq_proved(1) is ProofOutcome.PROVED
-    assert session.consistent() is ProofOutcome.PROVED
+    for qid in range(len(program.query_groups)):
+        assert session.answer(qid) is ProofOutcome.PROVED
     assert calls == []
 
 
@@ -181,7 +170,9 @@ def test_shared_query_group_is_decided_once(monkeypatch):
     # and 3 the justification b (the unit b.): asked twice each, the two
     # distinct groups reach _decide once each per session
     th = parse_theory("w: a.\nd: a : b / c.\nd: a : !c / d.\nd: c : b / e.\n")
-    session = CandidateQuerySession(compile_theory(th), frozenset((1,)))
+    program = compile_theory(th)
+    session = CandidateQuerySession(program, frozenset((1,)))
+    prereq, justif = program.prereq_ids, program.justif_ids
     decided = []
     decide = prover._decide
 
@@ -191,10 +182,10 @@ def test_shared_query_group_is_decided_once(monkeypatch):
 
     monkeypatch.setattr(prover, "_decide", counted)
     for _ in range(2):
-        assert session.prereq_proved(1) is ProofOutcome.PROVED
-        assert session.prereq_proved(2) is ProofOutcome.PROVED
-        assert session.justification_refuted(1, 1) is ProofOutcome.NOT_PROVED
-        assert session.justification_refuted(3, 1) is ProofOutcome.NOT_PROVED
+        assert session.answer(prereq[0]) is ProofOutcome.PROVED
+        assert session.answer(prereq[1]) is ProofOutcome.PROVED
+        assert session.answer(justif[0][0]) is ProofOutcome.NOT_PROVED
+        assert session.answer(justif[2][0]) is ProofOutcome.NOT_PROVED
     assert len(decided) == 2
 
 
@@ -223,13 +214,15 @@ FLAG_CASES = [
 
 @pytest.mark.parametrize("text,query,want", FLAG_CASES)
 def test_closure_flag_paths_match_reference(text, query, want):
-    program = compile_theory(parse_theory(text))
+    theory = parse_theory(text)
+    program = compile_theory(theory)
     session = CandidateQuerySession(program, frozenset())
+    world, _conclusion, prereq, justif = raw_groups(theory)
     if query == "j":
-        got, group = session.justification_refuted(1, 1), program.justif[0][0]
+        got, group = session.answer(program.justif_ids[0][0]), justif[0][0]
     else:
-        got, group = session.prereq_proved(1), program.prereq[0]
-    clauses = list(program.world) + list(group)
+        got, group = session.answer(program.prereq_ids[0]), prereq[0]
+    clauses = list(world) + list(group)
     assert got is want is refute_clauses(clauses)
     assert (want is ProofOutcome.PROVED) == truth_table_unsat(clauses, program.atom_count)
 

@@ -60,6 +60,9 @@ def test_rejects_self_supporting_rule():
     assert isinstance(got, Rejection)
     assert got.reason == "ungrounded"
     assert got.detail == "circular support: rule 1 never admitted by the stages"
+    # without its own consequent the prerequisite a does not follow at all
+    underivable = check(parse_theory("d: a : b / c."), {1})
+    assert underivable == Rejection("ungrounded", "prerequisite of applied rule 1 not derivable")
     certs = enumerate_extensions(t)
     assert [c.applied for c in certs] == [frozenset()]
     assert certs[0].extension_atoms == ()
@@ -160,7 +163,7 @@ def _same_theory(program, theory, a, b):
     each side must entail every consequent the other side adds."""
     for base_set, other in ((a, b - a), (b, a - b)):
         chrom = chromosome_from_applied(program.n_defaults, base_set)
-        base = active_clauses(program, chrom)
+        base = active_clauses(theory, chrom)
         for i in sorted(other):
             goal = to_cnf(Not(theory.defaults[i - 1].consequent), theory.atoms)
             if not truth_table_unsat(base + list(goal), program.atom_count):
@@ -245,19 +248,19 @@ def fresh_row(program, applied, budget):
     session = CandidateQuerySession(program, applied, budget)
     proved = exhausted = refuted = hits = 0
     for i in range(1, program.n_defaults + 1):
-        got = session.prereq_proved(i)
+        got = session.answer(program.prereq_ids[i - 1])
         if got is ProofOutcome.PROVED:
             proved |= 1 << (i - 1)
         elif got is ProofOutcome.BUDGET_EXHAUSTED:
             exhausted |= 1 << (i - 1)
             hits += 1
-        for j in range(1, program.justification_count(i) + 1):
-            got = session.justification_refuted(i, j)
+        for qid in program.justif_ids[i - 1]:
+            got = session.answer(qid)
             if got is ProofOutcome.PROVED:
                 refuted |= 1 << (i - 1)
                 break
             hits += got is ProofOutcome.BUDGET_EXHAUSTED
-    return proved, exhausted, refuted, hits, session.consistent()
+    return proved, exhausted, refuted, hits, session.answer(program.consistency_id)
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
@@ -270,7 +273,6 @@ def test_shared_stage_verdicts_change_no_answer(budget):
                 build_hamiltonian(2, complete_arcs(2)), parse_theory(CASE_SPLIT)]
     theories += [_normal_theory(rng) for _ in range(30)]
     reasons = set()
-    rows = candidates = 0
     exhausted = 0  # prerequisites the stored rows leave undecided
     for theory in theories:
         prog = compile_theory(theory)
@@ -281,14 +283,10 @@ def test_shared_stage_verdicts_change_no_answer(budget):
             shared = verify(theory, chrom, budget, program=prog, _cache=cache)
             assert shared == verify(theory, chrom, budget, program=prog)
             reasons.add(getattr(shared, "reason", "certified"))
-        rows += len(cache.store)
-        candidates += 1 << n
-        # each stored row is what a fresh session on its stage set answers
+        # each stored row is what a fresh session on its applied set answers
         for stage, row in cache.store.items():
             assert row == fresh_row(prog, _rules(stage), budget)
             exhausted |= row[1]
-    # the store keeps stage sets only, not one row per candidate
-    assert 4 * rows < candidates
     assert {"certified", "missing-applicable", "ungrounded"} <= reasons
     if budget.max_splits == 1:
         # a stored BUDGET_EXHAUSTED prerequisite still rejects as undecided
@@ -297,20 +295,24 @@ def test_shared_stage_verdicts_change_no_answer(budget):
 
 def test_store_keeps_no_row_for_a_finished_stage():
     # rules ": !x(i+1) / x(i)" around a ring of 6: every prerequisite holds at
-    # once, so each candidate admits all its admissible rules in one stage and
-    # only the empty stage needs a row, however many candidates share the store
+    # once, so each candidate admits all its admissible rules in one stage.
+    # Verified on a fresh store, a candidate leaves its own row and the empty
+    # stage's, and no row for the stage that admitted them; when it refutes
+    # every justification, nothing is admissible and the empty stage is
+    # finished before it needs a row
     ring = make_theory([], [(tautology(), [Not(Atom("x%d" % (i % 6 + 1)))], Atom("x%d" % i))
                             for i in range(1, 7)])
     prog = compile_theory(ring)
-    cache = _VerdictCache(prog, DEFAULT_BUDGET)
     certified = set()
     for mask in range(1 << 6):
         applied = {i + 1 for i in range(6) if mask >> i & 1}
+        cache = _VerdictCache(prog, DEFAULT_BUDGET)
         got = verify(ring, chromosome_from_applied(6, applied), program=prog, _cache=cache)
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
+        admissible = [i for i in range(1, 7) if i % 6 + 1 not in applied]
+        assert set(cache.store) == {mask} | ({0} if admissible else set())
     assert certified == {frozenset({1, 3, 5}), frozenset({2, 4, 6})}
-    assert list(cache.store) == [0]  # the empty stage's rule mask
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
@@ -340,11 +342,13 @@ def test_inconsistent_row_is_filled_from_masks(budget, monkeypatch):
 
 
 def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
-    # with every row in the store, verify opens the candidate's own session
-    # only to list a certificate's extension atoms, to tell circular support
-    # from an underivable prerequisite, or when the row leaves consistency
-    # undecided (every query of this W's row is settled by forward chaining,
-    # but its consistency needs two splits); it answers as on a fresh store
+    # verify reads the candidate's stored row, and opens the candidate's own
+    # session only to list a certificate's extension atoms or to name an
+    # undecided justification of a row with budget hits; circular support is
+    # read off the row's proved prerequisites, and so is consistency, even
+    # when the row leaves it undecided (every query of this W's row is
+    # settled by forward chaining, but its consistency needs two splits).
+    # It answers as on a fresh store
     hard_w = parse_theory("w: p || q.\nw: !p || x || y.\nw: !x || r.\nw: !y || r.\n"
                           "w: !q || r.\nw: !r.\nd: t || !t : / a.")
     one_split = ProofBudget(max_depth=100, max_splits=1)
@@ -354,8 +358,11 @@ def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
               "blocked-justification", 0),
              (build_nixon(), {1}, DEFAULT_BUDGET, "certified", 1),
              (parse_theory("d: a : t / b.\nd: b : u / a."), {1, 2}, DEFAULT_BUDGET,
-              "ungrounded", 1),
-             (hard_w, {1}, one_split, "undecided", 1)]
+              "ungrounded", 0),
+             (hard_w, {1}, one_split, "undecided", 0),
+             # justification !a is left undecided, and the session names it
+             (parse_theory("w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : !a / e."), {1},
+              ProofBudget(max_depth=1, max_splits=1), "undecided", 1)]
     for theory, applied, budget, reason, sessions in cases:
         prog = compile_theory(theory)
         chrom = chromosome_from_applied(prog.n_defaults, applied)
