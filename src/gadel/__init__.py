@@ -5,7 +5,7 @@ from .engine import (Exhausted, Found, GaParams, PenaltyTable, SearchOutcome,
 from .formulas import (And, Atom, Default, DefaultTheory, Formula, Not, Or,
                        ParseError, format_theory, make_theory, parse_theory)
 from .program import ClauseProgram, chromosome_from_applied, compile_theory
-from .prover import DEFAULT_BUDGET, ProofBudget, ProofOutcome, refute_clauses
+from .prover import DEFAULT_BUDGET, ProofBudget, ProofOutcome
 from .verifier import (ExtensionCertificate, Rejection, UndecidedError, certificate_json,
                        enumerate_extensions, verify)
 
@@ -18,5 +18,5 @@ __all__ = [
     "Rejection", "SearchOutcome", "UNIT_PENALTIES", "UndecidedError", "certificate_json",
     "chromosome_from_applied", "compile_theory", "enumerate_extensions",
     "evolve", "fitness", "format_theory", "make_theory",
-    "parse_theory", "refute_clauses", "verify",
+    "parse_theory", "verify",
 ]

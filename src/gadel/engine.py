@@ -85,6 +85,11 @@ class PenaltyTable:
 
 UNIT_PENALTIES = PenaltyTable()
 
+# A search refuses a population of more genes than this (members times
+# 2 n_defaults) before drawing one; the largest benchmark population, 325
+# members on the 39-rule people theory, has 25,350.
+MAX_POPULATION_GENES = 1 << 24
+
 
 @dataclass(frozen=True, slots=True)
 class FitnessReport:
@@ -301,13 +306,19 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     Identical arguments (including rng_seed) give an identical outcome; the
     optional on_generation callback receives (generation index, best
     penalty, mean penalty, cardinality, restarts) once per population.
-    ValueError if a total of n_defaults penalties could overflow.
+    ValueError if a total of n_defaults penalties could overflow, or if the
+    population would hold more than MAX_POPULATION_GENES genes.
     """
     n = program.n_defaults
     # twice the largest possible total, so rounding in the sum cannot reach inf
     if not math.isfinite(2 * n * max(astuple(table))):
         raise ValueError("penalty weights too large: a total over %d rules could overflow"
                          % n)
+    genes = min(params.population_size, 1 << 2 * n) * 2 * n
+    if genes > MAX_POPULATION_GENES:
+        raise ValueError("population too large: %d members over %d rules hold %d genes, "
+                         "more than %d" % (params.population_size, n, genes,
+                                           MAX_POPULATION_GENES))
     rng = random.Random(params.rng_seed)
     cache = _VerdictCache(program, budget)
     keep = max(1, math.ceil(params.selection_fraction * params.population_size))

@@ -8,7 +8,8 @@ clause-form conversion purely distributive (no auxiliary atoms are ever
 introduced, so per-rule clause-group selection stays exact).  The price is
 growth: a disjunction of k two-atom conjunctions has 2^k clauses, so
 clause-form conversion raises ValueError when a formula's clause form would
-pass MAX_CLAUSES.
+pass MAX_CLAUSES.  A clause is a pair (heads, body) of atom-id masks (see
+:func:`to_cnf`), the one clause form from conversion to the prover.
 
 The concrete syntax accepted by :func:`parse_theory`::
 
@@ -117,39 +118,21 @@ class AtomTable:
         return i
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    """Disjunction h1 | ... | hp <- b1 & ... & bn over atom ids.
-
-    heads are the positive literals, body the negated ones.  A clause with
-    no heads is a constraint (it defines the goal "false"); a clause whose
-    heads meet its body is a tautology and is never stored.
-    """
-
-    heads: frozenset[int]
-    body: frozenset[int]
-
-    def sort_key(self):
-        return (tuple(sorted(self.heads)), tuple(sorted(self.body)))
-
-
 # A conjunction's clause form has the sum of its sides' clause counts and a
 # disjunction's the product; past this many clauses in either, and so in any
 # formula, clause-form conversion gives up.
 MAX_CLAUSES = 4096
 
 
-def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[frozenset[int], frozenset[int]]]:
-    # Returns CNF as (heads, body) pairs, distributing disjunction over
+def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[int, int]]:
+    # Returns CNF as (heads, body) mask pairs, distributing disjunction over
     # conjunction.  `positive` tracks negation parity instead of rewriting
     # the tree.
     if isinstance(f, Not):
         return _nnf_clauses(f.operand, not positive, table)
     if isinstance(f, Atom):
-        i = table.intern(f.name)
-        if positive:
-            return [(frozenset((i,)), frozenset())]
-        return [(frozenset(), frozenset((i,)))]
+        bit = 1 << table.intern(f.name)
+        return [(bit, 0)] if positive else [(0, bit)]
     left = _nnf_clauses(f.left, positive, table)
     right = _nnf_clauses(f.right, positive, table)
     conjunction = isinstance(f, And) == positive
@@ -161,11 +144,18 @@ def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[fro
     return [(lh | rh, lb | rb) for lh, lb in left for rh, rb in right]
 
 
-def to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[Clause]:
-    """Distributive CNF of f; tautological clauses dropped, duplicates merged."""
+def to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[tuple[int, int]]:
+    """Distributive CNF of f; tautological clauses dropped, duplicates merged.
+
+    A clause is a pair (heads, body) of atom-id masks, bit k for atom id k:
+    the disjunction h1 | ... | hp <- b1 & ... & bn of the positive literals
+    in heads and the negated ones in body.  A clause with no heads is a
+    constraint (it defines the goal "false"); one whose heads meet its body
+    is a tautology and is never returned.
+    """
     if table is None:
         table = AtomTable()
-    return frozenset(Clause(heads, body) for heads, body in _nnf_clauses(f, True, table)
+    return frozenset((heads, body) for heads, body in _nnf_clauses(f, True, table)
                      if not heads & body)
 
 

@@ -15,41 +15,31 @@ clauses participate in a query:
   it entail atom a".
 
 Selecting groups at query time replaces re-normalizing formulas for every
-chromosome the search evaluates.  Every group is split once, at compile
-time, into the integer masks the prover reads, and only that split form
-is kept.  An applied set is a rule mask, bit i-1 for rule i, read off a
+chromosome the search evaluates.  A clause is a (heads, body) pair of
+atom-id masks from `to_cnf`.  Every group is split once, at compile time,
+into the lists of masks the prover reads, and only that split form is
+kept.  An applied set is a rule mask, bit i-1 for rule i, read off a
 chromosome by `gene_masks`.
 """
 
 from __future__ import annotations
 
-from .formulas import Clause, DefaultTheory, Not, to_cnf
+from .formulas import DefaultTheory, Not, to_cnf
 
 Chromosome = tuple[int, ...]
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to binary digits, for gene_masks
 
 
 def split_clauses(clauses) -> tuple[tuple, tuple, tuple]:
-    """The integer-mask view of a clause list that the prover works on.
-
-    A split group (defs, negs, disj) holds (head bit, body mask) per
+    """The split group of a list of (heads, body) mask clauses, the form the
+    prover works on: (defs, negs, disj) holds (head bit, body mask) per
     one-head clause, the body mask per constraint, and (heads mask, body
-    mask) per clause with several heads, each in list order; atom id k is
-    bit k.  Tautologies are dropped.
-    """
+    mask) per clause with several heads, each in list order."""
     defs, negs, disj = [], [], []
-    for c in clauses:
-        if c.heads & c.body:
-            continue  # tautology, never constrains anything
-        bm = 0
-        for b in c.body:
-            bm |= 1 << b
-        hm = 0
-        for h in c.heads:
-            hm |= 1 << h
-        if not c.heads:
+    for hm, bm in clauses:
+        if not hm:
             negs.append(bm)
-        elif len(c.heads) == 1:
+        elif hm & (hm - 1) == 0:
             defs.append((hm, bm))
         else:
             disj.append((hm, bm))
@@ -90,9 +80,9 @@ class ClauseProgram:
     share it.
     """
 
-    def __init__(self, theory: DefaultTheory, world: tuple[Clause, ...],
-                 conclusion: list[tuple[Clause, ...]], prereq: list[tuple[Clause, ...]],
-                 justif: list[list[tuple[Clause, ...]]]):
+    def __init__(self, theory: DefaultTheory, world: tuple[tuple[int, int], ...],
+                 conclusion: list[list[tuple[int, int]]], prereq: list[list[tuple[int, int]]],
+                 justif: list[list[list[tuple[int, int]]]]):
         self.n_defaults = theory.n_defaults
         self.atom_names = tuple(theory.atoms.names)
         self.atom_count = len(self.atom_names)
@@ -121,17 +111,18 @@ MAX_PROGRAM_CLAUSES = 16384
 
 
 def compile_theory(theory: DefaultTheory) -> ClauseProgram:
-    """Normalize W and every rule part once, each group in Clause.sort_key order;
-    ValueError once the groups together pass MAX_PROGRAM_CLAUSES clauses."""
+    """Normalize W and every rule part once, each formula's clauses in sorted
+    (heads, body) order; ValueError once the groups together pass
+    MAX_PROGRAM_CLAUSES clauses."""
     table = theory.atoms
     total = 0
 
-    def ordered(clauses) -> tuple[Clause, ...]:
+    def ordered(clauses) -> list[tuple[int, int]]:
         nonlocal total
         total += len(clauses)
         if total > MAX_PROGRAM_CLAUSES:
             raise ValueError("theory has more than %d clauses in clause form" % MAX_PROGRAM_CLAUSES)
-        return tuple(sorted(clauses, key=Clause.sort_key))
+        return sorted(clauses)
 
     world = tuple(c for f in theory.world for c in ordered(to_cnf(f, table)))
     conclusion = [ordered(to_cnf(d.consequent, table)) for d in theory.defaults]

@@ -40,11 +40,10 @@ gathers the candidate theory's split groups (see `program.split_clauses`,
 built at compile time) once and answers every question about that
 candidate by overlaying one of the program's interned query groups
 (`program.query_groups`): a prerequisite, a justification, the empty
-group for consistency, or "<- a" for the entailment of atom a.
-`refute_clauses` decides a raw clause list through the same decision
-function and is the reference path the tests check the session against.
-The session's clause lists are in the order `refute_clauses` gives the
-same raw list, so both reach the same verdict with the same budget use.
+group for consistency, or "<- a" for the entailment of atom a.  Every
+clause reaches the prover as a (heads, body) pair of atom-id masks from
+`to_cnf`, sorted into one-head clauses, constraints and disjunctive
+clauses by `program.split_clauses`.
 
 A session decides each query group at most once and keeps the answer.
 That is exact: a decision depends only on the candidate, the group and
@@ -65,7 +64,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .program import ClauseProgram, split_clauses, watch_index
+from .program import ClauseProgram
 
 
 class ProofOutcome(enum.Enum):
@@ -233,12 +232,6 @@ def _decide(base, qdefs, qnegs, qdisj, budget: ProofBudget) -> ProofOutcome:
     if not reach:
         return ProofOutcome.NOT_PROVED  # no constraint reachable
     return _engine(base, qdefs, qnegs, qdisj, m, budget)
-
-
-def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
-    """PROVED iff the clause set is propositionally unsatisfiable."""
-    defs, negs, disj = split_clauses(clauses)
-    return _decide(_base(defs, negs, disj, watch_index(defs)), (), (), (), budget)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import DefaultTheory
-from .program import ClauseProgram, chromosome_from_mask, compile_theory, gene_masks
+from .program import ClauseProgram, compile_theory, gene_masks
 from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 
 
@@ -189,12 +189,18 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     chromosome left unapplied.
     """
     cache = _cache or _VerdictCache(program or compile_theory(theory), budget)
-    program = cache.program
-    n = program.n_defaults
+    n = cache.program.n_defaults
     if len(chromosome) != 2 * n:
         raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
     first, second = gene_masks(chromosome)
-    applied = first & ~second
+    return _certify(first & ~second, cache)
+
+
+def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | Rejection:
+    """`verify` of the applied rule mask `applied`, with the store's program
+    and budget."""
+    program = cache.program
+    n = program.n_defaults
     proved, _, refuted, hits, sat = cache.verdicts(applied)
     if hits:  # name the first undecided justification, if the hits include one
         undecided = _refuted(program, CandidateQuerySession(program, _rules(applied),
@@ -271,8 +277,7 @@ def enumerate_extensions(theory: DefaultTheory,
     cache = _VerdictCache(program, budget)
     found: list[ExtensionCertificate] = []
     for mask in range(1 << n):
-        got = verify(theory, chromosome_from_mask(n, mask), budget,
-                     program=program, _cache=cache)
+        got = _certify(mask, cache)
         if isinstance(got, ExtensionCertificate):
             found.append(got)
         elif got.reason == "undecided":

@@ -2,11 +2,20 @@
 alone: formula truth values, truth-table satisfiability, forward chaining
 by rescanning every one-head clause, a theory's clause groups rebuilt
 from its formulas, a candidate's clause list read straight off its
-chromosome, and the penalty grid."""
+chromosome, and the penalty grid.  Clauses are (heads, body) pairs of
+atom-id masks, as `to_cnf` returns them; `refute_clauses` decides a raw
+clause list through the prover's own decision function."""
 
 import itertools
 
-from gadel.formulas import And, Atom, Clause, Not, to_cnf
+from gadel.formulas import And, Atom, Not, to_cnf
+from gadel.program import split_clauses, watch_index
+from gadel.prover import DEFAULT_BUDGET, ProofBudget, ProofOutcome, _base, _decide
+
+
+def bits(mask: int) -> list[int]:
+    """Atom ids of a mask, ascending: bit k is atom id k."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 def evaluate(f, assignment: dict[str, bool]) -> bool:
@@ -29,22 +38,38 @@ def truth_table_unsat(clauses, atom_count: int) -> bool:
     if atom_count > 24:
         raise ValueError("truth-table oracle capped at 24 atoms, got %d" % atom_count)
     clauses = list(clauses)
-    occurring = sorted({a for c in clauses for a in c.heads | c.body})
+    mentioned = 0
+    for hm, bm in clauses:
+        mentioned |= hm | bm
+    occurring = bits(mentioned)
     if any(a >= atom_count for a in occurring):
         raise ValueError("clause mentions an atom id beyond atom_count")
     for values in itertools.product((False, True), repeat=len(occurring)):
         v = dict(zip(occurring, values))
         ok = True
-        for c in clauses:
-            if any(v[h] for h in c.heads):
+        for hm, bm in clauses:
+            if any(v[h] for h in bits(hm)):
                 continue
-            if any(not v[b] for b in c.body):
+            if any(not v[b] for b in bits(bm)):
                 continue
             ok = False
             break
         if ok:
             return False
     return True
+
+
+def refute_clauses(clauses, budget: ProofBudget = DEFAULT_BUDGET) -> ProofOutcome:
+    """PROVED iff the clause set is propositionally unsatisfiable: the
+    reference path the tests check `CandidateQuerySession` against.
+
+    It splits the raw clause list with `program.split_clauses` and decides
+    it with the prover's `_decide`.  A session's clause lists are in the
+    order this function gives the same raw list, so both reach the same
+    verdict with the same budget use.
+    """
+    defs, negs, disj = split_clauses(clauses)
+    return _decide(_base(defs, negs, disj, watch_index(defs)), (), (), (), budget)
 
 
 def closure(seed: int, def_groups) -> int:
@@ -72,9 +97,9 @@ def applied_rules(chromosome) -> frozenset[int]:
 def raw_groups(theory):
     """The theory's clause groups (world, conclusion per rule, negated
     prerequisite per rule, justifications per rule), rebuilt with to_cnf in
-    compile_theory's order: per formula, sorted by Clause.sort_key."""
+    compile_theory's order: per formula, the (heads, body) pairs sorted."""
     def form(f) -> tuple:
-        return tuple(sorted(to_cnf(f, theory.atoms), key=Clause.sort_key))
+        return tuple(sorted(to_cnf(f, theory.atoms)))
 
     world = tuple(c for f in theory.world for c in form(f))
     conclusion = [form(d.consequent) for d in theory.defaults]

@@ -19,7 +19,8 @@ from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
 from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
-from oracles import PENALTY_GRID, active_clauses, applied_rules, raw_groups, truth_table_unsat
+from oracles import (PENALTY_GRID, active_clauses, applied_rules, bits, raw_groups,
+                     truth_table_unsat)
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
 
@@ -77,10 +78,10 @@ def test_criterion_1_prover_matches_oracle():
             # the prerequisite query
             group, qid = prereq[i - 1], program.prereq_ids[i - 1]
         active = active_clauses(theory, chrom) + list(group)
-        if sum(1 for c in active if len(c.heads) >= 2) > 3:
+        if sum(1 for hm, _bm in active if len(bits(hm)) >= 2) > 3:
             continue
         total += 1
-        if any(len(c.heads) >= 2 for c in active):
+        if any(len(bits(hm)) >= 2 for hm, _bm in active):
             with_split += 1
         session = CandidateQuerySession(program, applied_rules(chrom), WIDE)
         got = session.answer(qid)
@@ -210,6 +211,25 @@ FACT_SETS = [("boy", ("boy",)), ("girl", ("girl",)), ("man", ("man",)),
              ("woman", ("woman",)), ("man+student", ("man", "student")),
              ("woman+student", ("woman", "student"))]
 
+# The seeded trajectories of criteria 4 and 5, pinned so that a change to
+# the search cannot move them unnoticed; a change that moves them on
+# purpose re-pins them and says so.  Criterion 4: generations per seed
+# 0-19, never a restart (restart_after equals max_generations).
+TRAJECTORIES_4 = {
+    "boy": (1,) * 20, "girl": (1,) * 20, "man": (1,) * 20,
+    "woman": (1,) * 13 + (6,) + (1,) * 6,
+    "man+student": (135, 51, 274, 149, 1, 189, 56, 138, 161, 187,
+                    218, 198, 73, 57, 258, 43, 1, 96, 1, 119),
+    "woman+student": (97, 93, 133, 84, 155, 116, 96, 91, 61, 115,
+                      94, 86, 57, 62, 89, 78, 137, 36, 57, 66),
+}
+# Criterion 5: (generations, restarts) of the seeds not found in
+# generation 1 without a restart, and the histogram they give
+TRAJECTORIES_5 = {22: (7, 1), 68: (3, 0), 81: (7, 1), 105: (5, 0), 115: (5, 0),
+                  137: (6, 0), 144: (7, 1), 145: (5, 0), 153: (7, 1), 178: (4, 0),
+                  190: (5, 0)}
+HISTOGRAM_5 = [[1, 189], [3, 1], [4, 1], [5, 4], [6, 1], [7, 4]]
+
 
 @pytest.mark.slow
 def test_criterion_4_people_benchmark():
@@ -220,6 +240,7 @@ def test_criterion_4_people_benchmark():
                       restart_after=500)
     ok = True
     lines = []
+    runs = {}
     for name, facts in FACT_SETS:
         records = run_batch(build_people(facts), params, 20, name=name)
         st = batch_stats(records)
@@ -229,7 +250,10 @@ def test_criterion_4_people_benchmark():
         lines.append("%s %d/20 median %s (reference mean %.1f)"
                      % (name, st["found"], st["median_generations"],
                         REFERENCE_MEANS[name]))
+        runs[name] = [(r["seed"], r["generations"], r["restarts"]) for r in records]
     _verdict(4, ok, "; ".join(lines))
+    assert runs == {name: [(seed, g, 0) for seed, g in enumerate(gens)]
+                    for name, gens in TRAJECTORIES_4.items()}
 
 
 @pytest.mark.slow
@@ -245,6 +269,9 @@ def test_criterion_5_fast_convergence_histogram():
     detail = ("%d/200 found, %d of %d successes within 10 generations "
               "(reference: 80%% within 6)" % (st["found"], within, len(wins)))
     _verdict(5, st["found"] > 0 and within >= len(wins) / 2, detail)
+    assert [(r["seed"], r["generations"], r["restarts"]) for r in records] == [
+        (seed, *TRAJECTORIES_5.get(seed, (1, 0))) for seed in range(200)]
+    assert st["histogram"] == HISTOGRAM_5
 
 
 # --------------------------------------------------------------- criterion 6

@@ -89,6 +89,19 @@ def test_penalty_total_overflow_is_a_usage_error(tmp_path, capsys):
     assert err == "gadel: penalty weights too large: a total over 39 rules could overflow\n"
 
 
+def test_huge_population_is_a_usage_error(tmp_path, nixon_file, capsys):
+    # refused before a member is drawn: 10^8 members of 78 genes each
+    path = tmp_path / "man.dt"
+    assert main(["gen", "people", "--facts", "man", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(path), "--pop-size", "100000000"]) == 2
+    assert capsys.readouterr().err == (
+        "gadel: population too large: 100000000 members over 39 rules hold 7800000000 "
+        "genes, more than 16777216\n")
+    # two rules have only 16 distinct chromosomes, so the size is capped first
+    assert main(["solve", nixon_file, "--pop-size", "100000000"]) == 0
+
+
 def test_trace_mean_stays_finite_when_the_sum_overflows(tmp_path, capsys):
     # every chromosome of the one rule pays one weight of 8e307: each total is
     # finite (and so is twice it), but the four of a generation sum past the

@@ -10,11 +10,11 @@ from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Defaul
                             Not, Or, ParseError, atoms_of, conj, disj,
                             format_formula, format_theory, make_theory,
                             parse_theory, tautology, to_cnf)
-from oracles import evaluate
+from oracles import bits, evaluate
 
 
 def keyed(clauses):
-    return sorted(c.sort_key() for c in clauses)
+    return sorted((tuple(bits(hm)), tuple(bits(bm))) for hm, bm in clauses)
 
 
 def test_atom_name_validation():
@@ -69,9 +69,10 @@ def assignments(names):
 
 
 def clause_true(clause, table, assignment):
-    if any(assignment[table.names[h]] for h in clause.heads):
+    hm, bm = clause
+    if any(assignment[table.names[h]] for h in bits(hm)):
         return True
-    return any(not assignment[table.names[b]] for b in clause.body)
+    return any(not assignment[table.names[b]] for b in bits(bm))
 
 
 def random_formula(rng, names, depth):

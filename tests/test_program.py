@@ -4,19 +4,19 @@ import random
 
 import pytest
 
-from gadel.formulas import Atom, Clause, Not, parse_theory, to_cnf
+from gadel.formulas import Not, parse_theory, to_cnf
 from gadel.program import (chromosome_from_applied, chromosome_from_mask, compile_theory,
                            gene_masks, split_clauses)
-from oracles import active_clauses, raw_groups
+from oracles import active_clauses, bits, raw_groups
 
 
 def rendered(clauses, program):
     """Each clause as "h1;h2 :- b1,b2" over atom names, sorted."""
     names = program.atom_names
     out = []
-    for c in clauses:
-        heads = ";".join(names[h] for h in sorted(c.heads)) or "false"
-        body = ",".join(names[b] for b in sorted(c.body))
+    for hm, bm in clauses:
+        heads = ";".join(names[h] for h in bits(hm)) or "false"
+        body = ",".join(names[b] for b in bits(bm))
         out.append(heads + " :- " + body if body else heads)
     return sorted(out)
 

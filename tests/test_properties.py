@@ -21,16 +21,16 @@ from hypothesis import strategies as st
 from gadel.bench import build_people
 from gadel.cli import main
 from gadel.engine import UNIT_PENALTIES, PenaltyTable, _penalty, fitness
-from gadel.formulas import (MAX_NESTING, And, Atom, Clause, Not, Or, conj, disj,
+from gadel.formulas import (MAX_NESTING, And, Atom, Not, Or, conj, disj,
                             format_theory, make_theory, parse_theory)
 from gadel.program import (MAX_PROGRAM_CLAUSES, chromosome_from_applied,
                            chromosome_from_mask, compile_theory, watch_index)
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
-                          ProofOutcome, _propagate, refute_clauses)
+                          ProofOutcome, _propagate)
 from gadel.verifier import (ExtensionCertificate, UndecidedError, _VerdictCache,
                             enumerate_extensions, verify)
 from oracles import (active_clauses, applied_rules, closure, grid_penalty, raw_groups,
-                     truth_table_unsat)
+                     refute_clauses, truth_table_unsat)
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -68,7 +68,7 @@ def test_session_matches_reference_and_truth_table(budget, case):
     base = active_clauses(theory, chromosome_from_applied(program.n_defaults, applied))
     queries = [(session.answer(program.consistency_id), base)]
     for aid, qid in enumerate(program.atom_ids):
-        goal = Clause(frozenset(), frozenset((aid,)))
+        goal = (0, 1 << aid)
         queries.append((session.answer(qid), base + [goal]))
     for got, clauses in queries:
         # the same verdict and the same budget use as the raw-list reference

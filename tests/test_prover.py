@@ -5,16 +5,16 @@ import sys
 
 import pytest
 
-from gadel.formulas import Clause, parse_theory
+from gadel.formulas import parse_theory
 from gadel import prover
 from gadel.program import compile_theory
-from gadel.prover import (CandidateQuerySession, DEFAULT_BUDGET, ProofBudget,
-                          ProofOutcome, refute_clauses)
-from oracles import raw_groups, truth_table_unsat
+from gadel.prover import CandidateQuerySession, DEFAULT_BUDGET, ProofBudget, ProofOutcome
+from oracles import raw_groups, refute_clauses, truth_table_unsat
 
 
 def cl(heads, body=()):
-    return Clause(frozenset(heads), frozenset(body))
+    """The clause heads <- body over atom ids, as (heads, body) masks."""
+    return sum(1 << h for h in set(heads)), sum(1 << b for b in set(body))
 
 
 def test_empty_and_unit():
