@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
 from .engine import (UNIT_PENALTIES, Found, GaParams, PenaltyTable, evolve)
 from .formulas import And, Atom, DefaultTheory, Formula, Not, Or, conj, disj, make_theory
-from .program import compile_theory
+from .program import MAX_PROGRAM_CLAUSES, compile_theory
 from .verifier import certificate_json
 
 PEOPLE_FACTS = ("boy", "girl", "man", "woman", "student")
@@ -140,7 +141,9 @@ def build_hamiltonian(n_vertices: int, arcs) -> DefaultTheory:
     are exactly the cycle covers; staged admission only reaches arcs on the
     cycle through vertex 1, so certified candidates are exactly the single
     cycles through every vertex.  Rule order: arc rules over sorted arcs,
-    then watchdogs over sorted vertices.
+    then watchdogs over sorted vertices.  ValueError, before any formula is
+    built, when the theory would pass MAX_PROGRAM_CLAUSES clauses (K18 has
+    15,662, K19 18,527).
     """
     if n_vertices < 2:
         raise ValueError("need at least 2 vertices")
@@ -150,6 +153,16 @@ def build_hamiltonian(n_vertices: int, arcs) -> DefaultTheory:
             raise ValueError("arc (%d, %d) outside 1..%d" % (u, v, n_vertices))
         if u == v:
             raise ValueError("self-loop (%d, %d) not allowed" % (u, v))
+    # compile_theory's clause count, known before a formula is built: 2 world
+    # literals, 3 per arc rule and per watchdog, and per pair of arcs sharing
+    # a tail or a head one world clause plus a rival justification of each
+    shared = sum(k * (k - 1) // 2 for k in (*Counter(u for u, _ in arcs).values(),
+                                           *Counter(v for _, v in arcs).values()))
+    clauses = 2 + 3 * (shared + len(arcs) + n_vertices)
+    if clauses > MAX_PROGRAM_CLAUSES:
+        raise ValueError("Hamiltonian theory of %d vertices and %d arcs has %d clauses "
+                         "in clause form, more than %d"
+                         % (n_vertices, len(arcs), clauses, MAX_PROGRAM_CLAUSES))
 
     def use(u: int, v: int) -> Atom:
         return _a("use_%d_%d" % (u, v))
@@ -171,33 +184,6 @@ def build_hamiltonian(n_vertices: int, arcs) -> DefaultTheory:
     for v in range(1, n_vertices + 1):
         defaults.append((_a("go"), [Not(at(v))], _a("bad")))
     return make_theory(world, defaults)
-
-
-def tour_from_applied(n_vertices: int, arcs, applied) -> list[int] | None:
-    """Vertex order of the cycle selected by an applied set, if it is one."""
-    arcs = sorted(set((int(u), int(v)) for u, v in arcs))
-    hops = {}
-    for i in sorted(applied):
-        if i > len(arcs):
-            continue  # watchdog rules carry no arc
-        u, v = arcs[i - 1]
-        if u in hops:
-            return None
-        hops[u] = v
-    tour = [1]
-    seen = {1}
-    here = 1
-    while True:
-        here = hops.get(here)
-        if here is None or here in seen and here != 1:
-            return None
-        if here == 1:
-            break
-        tour.append(here)
-        seen.add(here)
-    if len(tour) != n_vertices or len(hops) != n_vertices:
-        return None
-    return tour
 
 
 def two_loops_demo() -> DefaultTheory:

@@ -8,7 +8,6 @@ from pathlib import Path
 from .bench import PEOPLE_FACTS, batch_stats, build_hamiltonian, build_people, run_batch
 from .engine import GaParams, PenaltyTable, UNIT_PENALTIES
 from .formulas import ParseError, format_theory, parse_theory
-from .program import chromosome_from_applied
 from .verifier import ExtensionCertificate, certificate_json, verify
 
 
@@ -104,9 +103,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     theory = _load_theory(args.theory)
-    applied = _parse_indices(args.applied)
-    chromosome = chromosome_from_applied(len(theory.defaults), applied)
-    outcome = verify(theory, chromosome)
+    outcome = verify(theory, _parse_indices(args.applied))
     if isinstance(outcome, ExtensionCertificate):
         print(json.dumps(certificate_json(outcome), indent=2, sort_keys=True))
         return 0

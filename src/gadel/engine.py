@@ -8,11 +8,14 @@ what the candidate theory itself says about the rule (prerequisite
 entailed? some justification refuted?).  A chromosome of fitness zero is
 internally coherent, but coherence is not enough: circular chains of rules
 can support each other without being derivable from the certain knowledge,
-so every zero-fitness candidate is handed to the fixed-point verifier and
-only a certified candidate ends the search.
+so the applied set of every zero-fitness candidate is handed to the
+fixed-point verifier and only a certified candidate ends the search.
 
-An applied set is a rule mask, bit i-1 for rule i.  The prover verdicts
-behind a fitness depend only on it, so a search keeps them in one
+The gene-pair encoding lives in this module alone: `gene_masks` reads a
+chromosome's pairs as two rule masks and `chromosome_from_mask` writes an
+applied set back as pairs.  An applied set is a rule mask, bit i-1 for
+rule i, and the verifier sees only that set, as rule indices.  The prover
+verdicts behind a fitness depend only on it, so a search keeps them in one
 `verifier._VerdictCache` keyed by the mask: one row of rule masks that
 also holds the set's consistency outcome.  The verifier's stages read it
 too.  A chromosome is scored by mask arithmetic: with gene masks `first`
@@ -55,9 +58,28 @@ import random
 from dataclasses import astuple, dataclass
 
 from .formulas import DefaultTheory
-from .program import Chromosome, ClauseProgram, chromosome_from_mask, gene_masks
+from .program import ClauseProgram
 from .prover import DEFAULT_BUDGET, ProofBudget
-from .verifier import ExtensionCertificate, Rejection, _VerdictCache, verify
+from .verifier import ExtensionCertificate, Rejection, _rules, _VerdictCache, verify
+
+Chromosome = tuple[int, ...]
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to binary digits, for gene_masks
+
+
+def gene_masks(chromosome: Chromosome) -> tuple[int, int]:
+    """Rule masks (first, second) of the gene pairs: bit i-1 of each holds one
+    bit of rule i's pair, so the applied set is first & ~second."""
+    if not set(chromosome) <= {0, 1}:
+        raise ValueError("chromosome bits must be 0 or 1")
+    # one digit per bit, read backwards from the last pair: rule n's bit leads
+    digits = bytes(chromosome).translate(_DIGITS)
+    return int(digits[-2::-2] or b"0", 2), int(digits[::-2] or b"0", 2)
+
+
+def chromosome_from_mask(n_defaults: int, applied: int) -> Chromosome:
+    """Chromosome with gene pair (1,0) on the rules of a rule mask, (0,0) elsewhere."""
+    # from a list: tuple() over a generator resizes, and resized tuples pile up on a free list
+    return tuple([b for i in range(n_defaults) for b in (applied >> i & 1, 0)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +133,8 @@ def fitness(program: ClauseProgram, chromosome: Chromosome,
     applied = first & ~second
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
     row = cache.verdicts(applied)
-    return FitnessReport(chromosome, _penalty(table, first, second, row), applied, row[3])
+    return FitnessReport(chromosome, _penalty(table, first, second, row), applied,
+                         row[1].bit_count() + len(row[3]))
 
 
 def _penalty(table: PenaltyTable, first: int, second: int, row) -> float:
@@ -361,7 +384,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
                 break
             outcome = checked.get(rep.applied)
             if outcome is None:
-                outcome = verify(theory, rep.chromosome, budget, program=program,
+                outcome = verify(theory, _rules(rep.applied), budget, program=program,
                                  _cache=cache)
                 checked[rep.applied] = outcome
             if isinstance(outcome, ExtensionCertificate):

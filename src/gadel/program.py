@@ -5,7 +5,7 @@ clauses participate in a query:
 
 * world clauses are always active;
 * the clause form of consequent i is active exactly when rule i is
-  applied (gene pair (1,0));
+  applied;
 * the negated prerequisite of rule i is active only for the query "does
   the candidate theory entail prerequisite i";
 * the clause form of justification (i, j) is active only for the query
@@ -15,19 +15,15 @@ clauses participate in a query:
   it entail atom a".
 
 Selecting groups at query time replaces re-normalizing formulas for every
-chromosome the search evaluates.  A clause is a (heads, body) pair of
+applied set the search evaluates.  A clause is a (heads, body) pair of
 atom-id masks from `to_cnf`.  Every group is split once, at compile time,
 into the lists of masks the prover reads, and only that split form is
-kept.  An applied set is a rule mask, bit i-1 for rule i, read off a
-chromosome by `gene_masks`.
+kept.
 """
 
 from __future__ import annotations
 
 from .formulas import DefaultTheory, Not, to_cnf
-
-Chromosome = tuple[int, ...]
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to binary digits, for gene_masks
 
 
 def split_clauses(clauses) -> tuple[tuple, tuple, tuple]:
@@ -130,29 +126,3 @@ def compile_theory(theory: DefaultTheory) -> ClauseProgram:
     justif = [[ordered(to_cnf(beta, table)) for beta in d.justifications]
               for d in theory.defaults]
     return ClauseProgram(theory, world, conclusion, prereq, justif)
-
-
-def gene_masks(chromosome: Chromosome) -> tuple[int, int]:
-    """Rule masks (first, second) of the gene pairs: bit i-1 of each holds one
-    bit of rule i's pair, so the applied set is first & ~second."""
-    if not set(chromosome) <= {0, 1}:
-        raise ValueError("chromosome bits must be 0 or 1")
-    # one digit per bit, read backwards from the last pair: rule n's bit leads
-    digits = bytes(chromosome).translate(_DIGITS)
-    return int(digits[-2::-2] or b"0", 2), int(digits[::-2] or b"0", 2)
-
-
-def chromosome_from_applied(n_defaults: int, applied) -> Chromosome:
-    """Chromosome with gene pair (1,0) on the given indices, (0,0) elsewhere."""
-    applied = set(applied)
-    stray = [i for i in applied if not 1 <= i <= n_defaults]
-    if stray:
-        raise ValueError("default indices out of range 1..%d: %s"
-                         % (n_defaults, sorted(stray)))
-    return chromosome_from_mask(n_defaults, sum(1 << (i - 1) for i in applied))
-
-
-def chromosome_from_mask(n_defaults: int, applied: int) -> Chromosome:
-    """Chromosome with gene pair (1,0) on the rules of a rule mask, (0,0) elsewhere."""
-    # from a list: tuple() over a generator resizes, and resized tuples pile up on a free list
-    return tuple([b for i in range(n_defaults) for b in (applied >> i & 1, 0)])

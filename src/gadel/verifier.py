@@ -1,7 +1,7 @@
 """Fixed-point certification of candidate extensions.
 
-A chromosome names a candidate theory: the certain knowledge plus the
-consequents of its applied rules.  The candidate is a genuine extension
+An applied set of rules names a candidate theory: the certain knowledge
+plus the consequents of those rules.  The candidate is a genuine extension
 exactly when the applied set reproduces itself under the staged closure:
 start from nothing and repeatedly admit every rule whose prerequisite
 follows from the certain knowledge plus the consequents admitted so far,
@@ -17,28 +17,29 @@ different certified sets always span different extensions.  This is why
 `enumerate_extensions` visits each extension exactly once and needs no
 deduplication.
 
-An applied set, a stage included, is a rule mask with bit i-1 for rule i
-(`program.gene_masks`); it becomes a set of indices only to open a prover
-session and in a certificate or a rejection's text.  `_VerdictCache` is the
-one store of prover verdicts, keyed by that mask.  The theory an applied
-set spans, and so every answer about it, depends only on that set (and the
+`verify` takes the applied set as 1-based rule indices, the form of a
+certificate and of a rejection's text.  Inside, an applied set, a stage
+included, is a rule mask with bit i-1 for rule i; it becomes a set of
+indices again only to open a prover session.  `_VerdictCache` is the one
+store of prover verdicts, keyed by that mask.  The theory an applied set
+spans, and so every answer about it, depends only on that set (and the
 program and budget).  A row holds three rule masks (prerequisite proved,
 prerequisite left undecided by the budget, some justification refuted),
-the number of budget hits among those queries, and the consistency
-outcome, all from one session; when forward chaining alone shows the
-theory inconsistent, every query is PROVED and the row is filled from
-masks without asking one.  The search scores a chromosome from the row of
-its applied set and reads the same row to tell whether that set is
-consistent; the staged closure admits rules from its stages' rows, and the
-stages of many candidates pass through the same few sets.  A stored row is
-what a fresh session gives, budget exhaustion included, so sharing it
-changes no score, certificate or rejection.
+the (rule, justification) pairs left undecided before a rule's first
+refuted justification, and the consistency outcome, all from one session;
+when forward chaining alone shows the theory inconsistent, every query is
+PROVED and the row is filled from masks without asking one.  The search
+scores a candidate from the row of its applied set and reads the same row
+to tell whether that set is consistent; the staged closure admits rules
+from its stages' rows, and the stages of many candidates pass through the
+same few sets.  A stored row is what a fresh session gives, budget
+exhaustion included, so sharing it changes no score, certificate or
+rejection.
 
 `verify` reads its own candidate's row like that of any other applied
-set: the refuted justifications, the consistency, and for the
-circular-support check the proved prerequisites.  It opens a session of
-its own only to name the first undecided justification of a row with
-budget hits, and to list a certificate's extension atoms, with the
+set: the undecided justifications, the refuted ones, the consistency, and
+for the circular-support check the proved prerequisites.  It opens a
+session of its own only to list a certificate's extension atoms, with the
 store's program and budget.  An enumeration therefore keeps one row per
 candidate, at most 2^12, plus the rows of their stages.  A stage row is
 built only while some admissible rule (one whose justifications the
@@ -52,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .formulas import DefaultTheory
-from .program import ClauseProgram, compile_theory, gene_masks
+from .program import ClauseProgram, compile_theory
 from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 
 
@@ -82,23 +83,6 @@ def _rules(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _refuted(program: ClauseProgram,
-             session: CandidateQuerySession) -> tuple[int, list[tuple[int, int]]]:
-    """Mask of rules with a justification the candidate refutes, and the
-    (rule, justification) pairs left undecided before a rule's first refuted one."""
-    refuted = 0
-    undecided = []
-    for i, ids in enumerate(program.justif_ids, 1):
-        for j, qid in enumerate(ids, 1):
-            got = session.answer(qid)
-            if got is ProofOutcome.PROVED:
-                refuted |= 1 << (i - 1)
-                break
-            if got is ProofOutcome.BUDGET_EXHAUSTED:
-                undecided.append((i, j))
-    return refuted, undecided
-
-
 class _VerdictCache:
     """Verdict rows per applied rule mask, shared by every candidate of one
     program and budget."""
@@ -106,30 +90,39 @@ class _VerdictCache:
     def __init__(self, program: ClauseProgram, budget: ProofBudget):
         self.program = program
         self.budget = budget
-        self.store: dict[int, tuple[int, int, int, int, ProofOutcome]] = {}
+        self.store: dict[int, tuple[int, int, int, tuple, ProofOutcome]] = {}
         # the row of a theory forward chaining refutes: every query is PROVED
         self.inconsistent_row = ((1 << program.n_defaults) - 1, 0,
                                  sum(1 << i for i, ids in enumerate(program.justif_ids) if ids),
-                                 0, ProofOutcome.PROVED)
+                                 (), ProofOutcome.PROVED)
 
-    def verdicts(self, applied: int) -> tuple[int, int, int, int, ProofOutcome]:
-        """(proved, exhausted, refuted, budget hits, consistency) of the theory
-        `applied` spans."""
+    def verdicts(self, applied: int) -> tuple[int, int, int, tuple, ProofOutcome]:
+        """(proved, exhausted, refuted, undecided, consistency) of the theory
+        `applied` spans; undecided holds the (rule, justification) pairs left
+        undecided before a rule's first refuted justification."""
         row = self.store.get(applied)
         if row is None:
             session = CandidateQuerySession(self.program, _rules(applied), self.budget)
             if session.chained_inconsistent:
                 row = self.inconsistent_row
             else:
-                proved = exhausted = 0
+                proved = exhausted = refuted = 0
                 for i, qid in enumerate(self.program.prereq_ids):
                     got = session.answer(qid)
                     if got is ProofOutcome.PROVED:
                         proved |= 1 << i
                     elif got is ProofOutcome.BUDGET_EXHAUSTED:
                         exhausted |= 1 << i
-                refuted, undecided = _refuted(self.program, session)
-                row = (proved, exhausted, refuted, exhausted.bit_count() + len(undecided),
+                undecided = []
+                for i, ids in enumerate(self.program.justif_ids, 1):
+                    for j, qid in enumerate(ids, 1):
+                        got = session.answer(qid)
+                        if got is ProofOutcome.PROVED:
+                            refuted |= 1 << (i - 1)
+                            break
+                        if got is ProofOutcome.BUDGET_EXHAUSTED:
+                            undecided.append((i, j))
+                row = (proved, exhausted, refuted, tuple(undecided),
                        session.answer(self.program.consistency_id))
             self.store[applied] = row
         return row
@@ -174,10 +167,11 @@ def _rules_word(mask: int) -> str:
     return "rule%s %s" % ("" if len(indices) == 1 else "s", ", ".join(map(str, indices)))
 
 
-def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDGET,
+def verify(theory: DefaultTheory, applied, budget: ProofBudget = DEFAULT_BUDGET,
            program: ClauseProgram | None = None,
            _cache: _VerdictCache | None = None) -> ExtensionCertificate | Rejection:
-    """Certify or reject the candidate theory named by a chromosome.
+    """Certify or reject the candidate theory whose applied rules are the
+    1-based indices `applied`; ValueError for an index outside 1..n.
 
     The applied set is accepted exactly when it equals its own staged
     fixpoint, which makes the certificate sound and complete: certified
@@ -186,14 +180,15 @@ def verify(theory: DefaultTheory, chromosome, budget: ProofBudget = DEFAULT_BUDG
     order: undecided queries, an inconsistent candidate blocking its own
     justifications, individually refuted justifications, applied rules
     never admitted by the stages (ungrounded), and admissible rules the
-    chromosome left unapplied.
+    candidate left unapplied.
     """
+    applied = set(applied)
+    stray = [i for i in applied if not 1 <= i <= theory.n_defaults]
+    if stray:
+        raise ValueError("default indices out of range 1..%d: %s"
+                         % (theory.n_defaults, sorted(stray)))
     cache = _cache or _VerdictCache(program or compile_theory(theory), budget)
-    n = cache.program.n_defaults
-    if len(chromosome) != 2 * n:
-        raise ValueError("chromosome length %d, expected %d" % (len(chromosome), 2 * n))
-    first, second = gene_masks(chromosome)
-    return _certify(first & ~second, cache)
+    return _certify(sum(1 << (i - 1) for i in applied), cache)
 
 
 def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | Rejection:
@@ -201,14 +196,11 @@ def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | Rejec
     and budget."""
     program = cache.program
     n = program.n_defaults
-    proved, _, refuted, hits, sat = cache.verdicts(applied)
-    if hits:  # name the first undecided justification, if the hits include one
-        undecided = _refuted(program, CandidateQuerySession(program, _rules(applied),
-                                                            cache.budget))[1]
-        if undecided:
-            i, j = undecided[0]
-            return Rejection("undecided",
-                             "justification %d of rule %d not decided within budget" % (j, i))
+    proved, _, refuted, undecided, sat = cache.verdicts(applied)
+    if undecided:
+        i, j = undecided[0]
+        return Rejection("undecided",
+                         "justification %d of rule %d not decided within budget" % (j, i))
     try:
         trace = _staged_fixpoint(((1 << n) - 1) & ~refuted, cache)
     except UndecidedError as stop:

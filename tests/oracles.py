@@ -2,7 +2,8 @@
 alone: formula truth values, truth-table satisfiability, forward chaining
 by rescanning every one-head clause, a theory's clause groups rebuilt
 from its formulas, a candidate's clause list read straight off its
-chromosome, and the penalty grid.  Clauses are (heads, body) pairs of
+chromosome, the penalty grid, and the tour an applied set of a
+Hamiltonian theory selects.  Clauses are (heads, body) pairs of
 atom-id masks, as `to_cnf` returns them; `refute_clauses` decides a raw
 clause list through the prover's own decision function."""
 
@@ -94,6 +95,11 @@ def applied_rules(chromosome) -> frozenset[int]:
                      if tuple(chromosome[2 * i - 2:2 * i]) == (1, 0))
 
 
+def chromosome_of(n: int, applied) -> tuple[int, ...]:
+    """n gene pairs, (1, 0) on the rule indices of applied and (0, 0) elsewhere."""
+    return tuple(b for i in range(1, n + 1) for b in ((1, 0) if i in applied else (0, 0)))
+
+
 def raw_groups(theory):
     """The theory's clause groups (world, conclusion per rule, negated
     prerequisite per rule, justifications per rule), rebuilt with to_cnf in
@@ -142,3 +148,30 @@ def grid_penalty(table, pair, proved, refuted) -> float:
     slot, = [s for p, pre, ref, s in PENALTY_GRID
              if (p, pre, ref) == (tuple(pair), bool(proved), bool(refuted))]
     return getattr(table, slot) if slot else 0.0
+
+
+def tour_from_applied(n_vertices: int, arcs, applied) -> list[int] | None:
+    """Vertex order of the cycle selected by an applied set, if it is one."""
+    arcs = sorted(set((int(u), int(v)) for u, v in arcs))
+    hops = {}
+    for i in sorted(applied):
+        if i > len(arcs):
+            continue  # watchdog rules carry no arc
+        u, v = arcs[i - 1]
+        if u in hops:
+            return None
+        hops[u] = v
+    tour = [1]
+    seen = {1}
+    here = 1
+    while True:
+        here = hops.get(here)
+        if here is None or here in seen and here != 1:
+            return None
+        if here == 1:
+            break
+        tour.append(here)
+        seen.add(here)
+    if len(tour) != n_vertices or len(hops) != n_vertices:
+        return None
+    return tour

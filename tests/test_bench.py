@@ -1,15 +1,18 @@
 """Benchmark theories, the cycle reduction, and batch running."""
 
 import json
+import random
 
 import pytest
 
+from gadel import bench
 from gadel.bench import (batch_stats, build_hamiltonian, build_nixon,
                          build_people, complete_arcs, run_batch,
-                         standard_suite, tour_from_applied, two_loops_demo)
+                         standard_suite, two_loops_demo)
 from gadel.engine import GaParams
 from gadel.program import compile_theory
 from gadel.verifier import certificate_json, enumerate_extensions, verify
+from oracles import raw_groups, tour_from_applied
 
 
 def test_people_theory_shape():
@@ -77,6 +80,30 @@ def test_hamiltonian_validation():
         build_hamiltonian(3, [(2, 2)])
 
 
+def test_hamiltonian_clause_count_is_the_compiled_total(monkeypatch):
+    # build_hamiltonian counts compile_theory's clauses before it builds a
+    # formula: at a cap equal to the to_cnf total the theory is built, one
+    # below it is refused with that total
+    rng = random.Random(3)
+    digraphs = [(3, complete_arcs(3)), (5, complete_arcs(5)), (8, complete_arcs(8)),
+                (4, [(1, 2), (2, 1), (3, 4), (4, 3)]), (3, [(1, 2), (2, 3)])]
+    digraphs += [(7, [a for a in complete_arcs(7) if rng.random() < 0.4]) for _ in range(3)]
+    totals = []
+    for n, arcs in digraphs:
+        world, conclusion, prereq, justif = raw_groups(build_hamiltonian(n, arcs))
+        total = len(world) + sum(map(len, conclusion + prereq)) \
+            + sum(len(group) for rows in justif for group in rows)
+        totals.append(total)
+        monkeypatch.setattr(bench, "MAX_PROGRAM_CLAUSES", total)
+        build_hamiltonian(n, arcs)
+        monkeypatch.setattr(bench, "MAX_PROGRAM_CLAUSES", total - 1)
+        with pytest.raises(ValueError, match="has %d clauses in clause form, more than %d$"
+                           % (total, total - 1)):
+            build_hamiltonian(n, arcs)
+        monkeypatch.undo()
+    assert totals[1] == 257  # K5, the largest benchmark program
+
+
 def test_run_batch_deterministic_and_certified():
     t = build_nixon()
     params = GaParams(population_size=16, max_generations=50, rng_seed=0)
@@ -87,7 +114,7 @@ def test_run_batch_deterministic_and_certified():
         assert {**a, "wall_ms": 0.0} == {**b, "wall_ms": 0.0}
     for rec in first:
         assert rec["outcome"] == "found"
-        replay = verify(t, rec["chromosome"])
+        replay = verify(t, rec["certificate"]["applied"])
         assert certificate_json(replay) == rec["certificate"]
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gadel.bench import batch_stats, run_batch
+from gadel.bench import batch_stats, complete_arcs, run_batch
 from gadel.cli import CSV_HEADER, main
 from gadel.engine import GaParams
 from gadel.formulas import MAX_CLAUSES, parse_theory
@@ -172,6 +172,29 @@ def test_gen_ham_bad_edges_line(tmp_path, capsys):
     edges.write_text("1 2\n2 3 4\n")
     assert main(["gen", "ham", "--vertices", "3", "--edges", str(edges)]) == 2
     assert "edges file line 2" in capsys.readouterr().err
+
+
+def test_oversized_hamiltonian_is_a_usage_error(tmp_path, capsys):
+    # refused by the clause count before a formula is built: built, either
+    # theory would exhaust the memory of a small machine
+    edges = tmp_path / "arcs.edges"
+    edges.write_text("")
+    assert main(["gen", "ham", "--vertices", "100000000", "--edges", str(edges)]) == 2
+    assert capsys.readouterr().err == (
+        "gadel: Hamiltonian theory of 100000000 vertices and 0 arcs has 300000002 clauses "
+        "in clause form, more than 16384\n")
+    for n, clauses, code in [(150, 9990902, 2), (19, 18527, 2), (18, 15662, 0)]:
+        edges.write_text("".join("%d %d\n" % arc for arc in complete_arcs(n)))
+        out_path = tmp_path / "k.dt"
+        assert main(["gen", "ham", "--vertices", str(n), "--edges", str(edges),
+                     "-o", str(out_path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("gadel: Hamiltonian theory of %d vertices and %d arcs has %d "
+                           "clauses in clause form, more than 16384\n"
+                           % (n, n * (n - 1), clauses))
+    # K18 is written, and its 15,662 clauses are within the program cap
+    assert parse_theory(out_path.read_text()).n_defaults == 18 * 17 + 18
 
 
 def test_bench_json_deterministic(nixon_file, capsys):

@@ -11,11 +11,11 @@ from gadel.engine import (Exhausted, Found, GaParams, PenaltyTable,
                           UNIT_PENALTIES, _descend, _penalty, _select_parents,
                           _VerdictCache, evolve, fitness, initial_population)
 from gadel.formulas import Atom, Not, make_theory, parse_theory, tautology
-from gadel.program import chromosome_from_applied, compile_theory
+from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel import engine, verifier
 from gadel.verifier import verify
-from oracles import PENALTY_GRID
+from oracles import PENALTY_GRID, applied_rules, chromosome_of
 
 
 def test_pair_penalty_unit_grid():
@@ -51,7 +51,7 @@ def fit(theory, applied_or_chrom, table=UNIT_PENALTIES):
     prog = compile_theory(theory)
     chrom = applied_or_chrom
     if not isinstance(chrom, tuple):
-        chrom = chromosome_from_applied(prog.n_defaults, chrom)
+        chrom = chromosome_of(prog.n_defaults, chrom)
     return fitness(prog, chrom, table)
 
 
@@ -129,14 +129,13 @@ def test_fitness_rejects_wrong_length():
 
 
 def test_fitness_and_verify_reject_non_binary_bits():
-    # a bit of 2 would spill into the next rule's mask; both callers refuse it
+    # a bit of 2 would spill into the next rule's mask; fitness refuses it,
+    # and verify, which takes rule indices, reads no bits at all
     t = parse_theory("w: a.\nd: a : b / c.\nd: a : / d.")
     prog = compile_theory(t)
     for bad in ((2, 0, 0, 0), (1, 0, 0, 2), (0, -1, 1, 0)):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
             fitness(prog, bad)
-        with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            verify(t, bad, program=prog)
 
 
 def test_fitness_report_applied():
@@ -147,9 +146,10 @@ def test_fitness_report_applied():
     assert rep.total == 0.0 and rep.budget_hits == 0
     assert rep.applied == 0b01  # rule mask: bit 0 is rule 1
     # the row behind it: rule 1's prerequisite proved (bit 0), nothing left
-    # undecided, rule 2's justification !c refuted by c (bit 1), no budget
-    # hits, and the candidate {a, c} consistent, as a fresh session says
-    assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, 0, ProofOutcome.NOT_PROVED)
+    # undecided, rule 2's justification !c refuted by c (bit 1), no
+    # justification left undecided, and the candidate {a, c} consistent, as a
+    # fresh session says
+    assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, (), ProofOutcome.NOT_PROVED)
     assert cache.verdicts(rep.applied)[4] is CandidateQuerySession(prog, {1}).answer(prog.consistency_id)
     assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == 0b10
 
@@ -188,7 +188,7 @@ def select_fixture():
     prog = compile_theory(t)
     cache = _VerdictCache(prog, DEFAULT_BUDGET)
     def rep(applied):
-        return fitness(prog, chromosome_from_applied(3, applied), _cache=cache)
+        return fitness(prog, chromosome_of(3, applied), _cache=cache)
     return prog, cache, rep
 
 
@@ -259,6 +259,18 @@ def test_evolve_nixon_deterministic():
     assert first.chromosome == second.chromosome
     assert first.generations_used == second.generations_used
     assert first.certificate.applied in (frozenset({1}), frozenset({2}))
+
+
+def test_found_certificates_reverify_from_their_applied_sets():
+    # the certificate a search returns is what verify gives its applied set
+    # alone, and that set is the chromosome's (1, 0) pairs
+    for theory, size in [(build_nixon(), 16), (build_hamiltonian(4, complete_arcs(4)), 60)]:
+        program = compile_theory(theory)
+        for seed in range(5):
+            out = evolve(program, theory, GaParams(population_size=size, rng_seed=seed))
+            assert isinstance(out, Found)
+            assert out.certificate.applied == applied_rules(out.chromosome)
+            assert verify(theory, out.certificate.applied) == out.certificate
 
 
 def _applied_pairs(*rules):

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from gadel.formulas import Not, parse_theory, to_cnf
-from gadel.program import (chromosome_from_applied, chromosome_from_mask, compile_theory,
-                           gene_masks, split_clauses)
-from oracles import active_clauses, bits, raw_groups
+from gadel.engine import chromosome_from_mask, gene_masks
+from gadel.program import compile_theory, split_clauses
+from oracles import active_clauses, bits, chromosome_of, raw_groups
 
 
 def rendered(clauses, program):
@@ -86,24 +86,14 @@ def test_gene_masks():
             gene_masks(bad)
 
 
-def test_chromosome_from_applied():
-    assert chromosome_from_applied(3, [2]) == (0, 0, 1, 0, 0, 0)
-    assert chromosome_from_applied(2, []) == (0, 0, 0, 0)
-    assert chromosome_from_applied(6, [1, 4, 6]) == chromosome_from_mask(6, 0b101001)
-    with pytest.raises(ValueError):
-        chromosome_from_applied(3, [0])
-    with pytest.raises(ValueError):
-        chromosome_from_applied(3, [4])
-
-
 def test_applied_round_trip_random():
     rng = random.Random(5)
     for _ in range(100):
         n = rng.randint(1, 12)
         applied = [i for i in range(1, n + 1) if rng.random() < 0.4]
         mask = sum(1 << (i - 1) for i in applied)
-        chromosome = chromosome_from_applied(n, applied)
-        assert chromosome == chromosome_from_mask(n, mask)
+        chromosome = chromosome_from_mask(n, mask)
+        assert chromosome == chromosome_of(n, applied)
         first, second = gene_masks(chromosome)
         assert (first, second) == (mask, 0)
 

@@ -20,17 +20,16 @@ from hypothesis import strategies as st
 
 from gadel.bench import build_people
 from gadel.cli import main
-from gadel.engine import UNIT_PENALTIES, PenaltyTable, _penalty, fitness
+from gadel.engine import UNIT_PENALTIES, PenaltyTable, _penalty, chromosome_from_mask, fitness
 from gadel.formulas import (MAX_NESTING, And, Atom, Not, Or, conj, disj,
                             format_theory, make_theory, parse_theory)
-from gadel.program import (MAX_PROGRAM_CLAUSES, chromosome_from_applied,
-                           chromosome_from_mask, compile_theory, watch_index)
+from gadel.program import MAX_PROGRAM_CLAUSES, compile_theory, watch_index
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                           ProofOutcome, _propagate)
 from gadel.verifier import (ExtensionCertificate, UndecidedError, _VerdictCache,
                             enumerate_extensions, verify)
-from oracles import (active_clauses, applied_rules, closure, grid_penalty, raw_groups,
-                     refute_clauses, truth_table_unsat)
+from oracles import (active_clauses, applied_rules, chromosome_of, closure, grid_penalty,
+                     raw_groups, refute_clauses, truth_table_unsat)
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -65,7 +64,7 @@ def test_session_matches_reference_and_truth_table(budget, case):
     # the consistency group and every atom's entailment group
     theory, program, applied = case
     session = CandidateQuerySession(program, applied, budget)
-    base = active_clauses(theory, chromosome_from_applied(program.n_defaults, applied))
+    base = active_clauses(theory, chromosome_of(program.n_defaults, applied))
     queries = [(session.answer(program.consistency_id), base)]
     for aid, qid in enumerate(program.atom_ids):
         goal = (0, 1 << aid)
@@ -118,7 +117,7 @@ def test_rule_queries_match_reference_in_any_order(budget, case, data):
     _world, _conclusion, prereq, justif = raw_groups(theory)
     queries = [(i, j) for i in range(1, n + 1) for j in range(len(justif[i - 1]) + 1)]
     session = CandidateQuerySession(program, applied, budget)
-    base = active_clauses(theory, chromosome_from_applied(n, applied))
+    base = active_clauses(theory, chromosome_of(n, applied))
     for i, j in data.draw(st.permutations(queries * 2)):
         if j:
             got = session.answer(program.justif_ids[i - 1][j - 1])
@@ -186,9 +185,8 @@ def test_verify_with_search_filled_store(budget, theory):
     undecided = False
     for mask in range(1 << n):
         applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        chrom = chromosome_from_applied(n, applied)
-        got = verify(theory, chrom, budget, program=program, _cache=store)
-        assert got == verify(theory, chrom, budget, program=program,
+        got = verify(theory, applied, budget, program=program, _cache=store)
+        assert got == verify(theory, applied, budget, program=program,
                              _cache=_VerdictCache(program, budget))
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
@@ -198,7 +196,10 @@ def test_verify_with_search_filled_store(budget, theory):
         with pytest.raises(UndecidedError):
             enumerate_extensions(theory, budget)
     else:
-        assert certified == {c.applied for c in enumerate_extensions(theory, budget)}
+        certs = enumerate_extensions(theory, budget)
+        assert certified == {c.applied for c in certs}
+        # a certificate re-verifies from its own applied set alone
+        assert all(verify(theory, c.applied, budget) == c for c in certs)
 
 
 weights = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)

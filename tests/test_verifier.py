@@ -9,23 +9,17 @@ from gadel.formulas import (And, Atom, Not, Or, make_theory, parse_theory,
                             tautology, to_cnf)
 from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
 from gadel import prover
-from gadel.program import chromosome_from_applied, compile_theory
+from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel import verifier
 from gadel.verifier import (ExtensionCertificate, Rejection, UndecidedError, _rules,
                             _VerdictCache, certificate_json, enumerate_extensions, verify)
-from oracles import active_clauses, truth_table_unsat
-
-
-def check(theory, applied):
-    prog = compile_theory(theory)
-    chrom = chromosome_from_applied(prog.n_defaults, applied)
-    return verify(theory, chrom, program=prog)
+from oracles import active_clauses, chromosome_of, truth_table_unsat
 
 
 def test_certificate_single_default():
     t = parse_theory("w: a.\nd: a : b / c.")
-    got = check(t, {1})
+    got = verify(t, {1})
     assert isinstance(got, ExtensionCertificate)
     assert got.applied == frozenset({1})
     assert got.trace == (frozenset(), frozenset({1}))
@@ -35,7 +29,7 @@ def test_certificate_single_default():
 
 def test_certificate_json_shape():
     t = parse_theory("w: a.\nd: a : b / c.")
-    got = check(t, {1})
+    got = verify(t, {1})
     assert certificate_json(got) == {
         "applied": [1],
         "grounded": True,
@@ -47,7 +41,7 @@ def test_certificate_json_shape():
 
 def test_rejects_missing_applicable():
     t = parse_theory("w: a.\nd: a : b / c.")
-    got = check(t, set())
+    got = verify(t, set())
     assert isinstance(got, Rejection)
     assert got.reason == "missing-applicable"
     assert "rule 1" in got.detail
@@ -56,12 +50,12 @@ def test_rejects_missing_applicable():
 def test_rejects_self_supporting_rule():
     # the rule's prerequisite only follows once its own consequent is assumed
     t = parse_theory("d: a : b / a.")
-    got = check(t, {1})
+    got = verify(t, {1})
     assert isinstance(got, Rejection)
     assert got.reason == "ungrounded"
     assert got.detail == "circular support: rule 1 never admitted by the stages"
     # without its own consequent the prerequisite a does not follow at all
-    underivable = check(parse_theory("d: a : b / c."), {1})
+    underivable = verify(parse_theory("d: a : b / c."), {1})
     assert underivable == Rejection("ungrounded", "prerequisite of applied rule 1 not derivable")
     certs = enumerate_extensions(t)
     assert [c.applied for c in certs] == [frozenset()]
@@ -70,7 +64,7 @@ def test_rejects_self_supporting_rule():
 
 def test_rejects_mutual_support_cycle():
     t = parse_theory("d: a : t / b.\nd: b : u / a.")
-    got = check(t, {1, 2})
+    got = verify(t, {1, 2})
     assert isinstance(got, Rejection)
     assert got.reason == "ungrounded"
     assert "rules 1, 2" in got.detail
@@ -78,14 +72,14 @@ def test_rejects_mutual_support_cycle():
 
 def test_rejects_blocked_justification():
     t = parse_theory("w: a.\nw: !b.\nd: a : b / c.")
-    got = check(t, {1})
+    got = verify(t, {1})
     assert isinstance(got, Rejection)
     assert got.reason == "blocked-justification"
 
 
 def test_rejects_inconsistent_candidate():
     t = parse_theory("w: t.\nd: t : u / x && !x.")
-    got = check(t, {1})
+    got = verify(t, {1})
     assert isinstance(got, Rejection)
     assert got.reason == "inconsistent"
     assert "certain knowledge" not in got.detail
@@ -93,11 +87,11 @@ def test_rejects_inconsistent_candidate():
 
 def test_inconsistent_world_certifies_empty_applied_set():
     t = parse_theory("w: a.\nw: !a.\nd: t : u / c.")
-    got = check(t, set())
+    got = verify(t, set())
     assert isinstance(got, ExtensionCertificate)
     assert not got.consistent
     # applying the rule instead is rejected, and the detail points at the world
-    bad = check(t, {1})
+    bad = verify(t, {1})
     assert isinstance(bad, Rejection)
     assert bad.reason == "inconsistent"
     assert "certain knowledge itself is inconsistent" in bad.detail
@@ -106,7 +100,7 @@ def test_inconsistent_world_certifies_empty_applied_set():
 def test_inconsistent_world_admits_justification_free_rules():
     t = make_theory([Atom("a"), Not(Atom("a"))],
                     [(tautology(), [], Atom("c"))])
-    got = check(t, {1})
+    got = verify(t, {1})
     assert isinstance(got, ExtensionCertificate)
     assert got.applied == frozenset({1})
     assert not got.consistent
@@ -133,7 +127,7 @@ def test_enumeration_rule_cap():
 
 def test_undecided_on_tiny_budget():
     t = parse_theory("w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e.")
-    got = verify(t, (1, 0), ProofBudget(max_depth=1, max_splits=1))
+    got = verify(t, {1}, ProofBudget(max_depth=1, max_splits=1))
     assert isinstance(got, Rejection)
     assert got.reason == "undecided"
 
@@ -150,20 +144,20 @@ def test_enumeration_raises_on_an_undecided_candidate():
         enumerate_extensions(t, ProofBudget(max_depth=100, max_splits=1))
 
 
-def test_verify_validates_chromosome():
+def test_verify_validates_rule_indices():
     t = parse_theory("w: a.\nd: a : b / c.")
-    with pytest.raises(ValueError):
-        verify(t, (1, 0, 0))
-    with pytest.raises(ValueError):
-        verify(t, (2, 0))
+    with pytest.raises(ValueError, match=r"^default indices out of range 1\.\.1: \[0\]$"):
+        verify(t, {0})
+    with pytest.raises(ValueError, match=r"^default indices out of range 1\.\.1: \[2, 3\]$"):
+        verify(t, [3, 1, 2])
+    assert verify(t, [1, 1]) == verify(t, (1,)) == verify(t, {1})  # duplicates collapse
 
 
 def _same_theory(program, theory, a, b):
     """Do applied sets a and b span equivalent theories?  Decided by the oracle:
     each side must entail every consequent the other side adds."""
     for base_set, other in ((a, b - a), (b, a - b)):
-        chrom = chromosome_from_applied(program.n_defaults, base_set)
-        base = active_clauses(theory, chrom)
+        base = active_clauses(theory, chromosome_of(program.n_defaults, base_set))
         for i in sorted(other):
             goal = to_cnf(Not(theory.defaults[i - 1].consequent), theory.atoms)
             if not truth_table_unsat(base + list(goal), program.atom_count):
@@ -242,25 +236,28 @@ CASE_SPLIT = "w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e."
 
 
 def fresh_row(program, applied, budget):
-    """(proved, exhausted, refuted, budget hits, consistency) asked of a new
+    """(proved, exhausted, refuted, undecided, consistency) asked of a new
     session, rule by rule; a rule's justifications are asked until one is
-    refuted, and consistency last."""
+    refuted, the undecided ones before it are listed as (rule,
+    justification), and consistency is asked last."""
     session = CandidateQuerySession(program, applied, budget)
-    proved = exhausted = refuted = hits = 0
+    proved = exhausted = refuted = 0
+    undecided = []
     for i in range(1, program.n_defaults + 1):
         got = session.answer(program.prereq_ids[i - 1])
         if got is ProofOutcome.PROVED:
             proved |= 1 << (i - 1)
         elif got is ProofOutcome.BUDGET_EXHAUSTED:
             exhausted |= 1 << (i - 1)
-            hits += 1
-        for qid in program.justif_ids[i - 1]:
+        for j, qid in enumerate(program.justif_ids[i - 1], 1):
             got = session.answer(qid)
             if got is ProofOutcome.PROVED:
                 refuted |= 1 << (i - 1)
                 break
-            hits += got is ProofOutcome.BUDGET_EXHAUSTED
-    return proved, exhausted, refuted, hits, session.answer(program.consistency_id)
+            if got is ProofOutcome.BUDGET_EXHAUSTED:
+                undecided.append((i, j))
+    return (proved, exhausted, refuted, tuple(undecided),
+            session.answer(program.consistency_id))
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, ProofBudget(max_depth=1, max_splits=1)],
@@ -279,9 +276,9 @@ def test_shared_stage_verdicts_change_no_answer(budget):
         n = prog.n_defaults
         cache = _VerdictCache(prog, budget)
         for mask in range(1 << n):
-            chrom = chromosome_from_applied(n, {i + 1 for i in range(n) if mask >> i & 1})
-            shared = verify(theory, chrom, budget, program=prog, _cache=cache)
-            assert shared == verify(theory, chrom, budget, program=prog)
+            applied = _rules(mask)
+            shared = verify(theory, applied, budget, program=prog, _cache=cache)
+            assert shared == verify(theory, applied, budget, program=prog)
             reasons.add(getattr(shared, "reason", "certified"))
         # each stored row is what a fresh session on its applied set answers
         for stage, row in cache.store.items():
@@ -307,7 +304,7 @@ def test_store_keeps_no_row_for_a_finished_stage():
     for mask in range(1 << 6):
         applied = {i + 1 for i in range(6) if mask >> i & 1}
         cache = _VerdictCache(prog, DEFAULT_BUDGET)
-        got = verify(ring, chromosome_from_applied(6, applied), program=prog, _cache=cache)
+        got = verify(ring, applied, program=prog, _cache=cache)
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
         admissible = [i for i in range(1, 7) if i % 6 + 1 not in applied]
@@ -338,13 +335,13 @@ def test_inconsistent_row_is_filled_from_masks(budget, monkeypatch):
         got = _VerdictCache(prog, budget).verdicts(mask)
         monkeypatch.undo()
         assert asked == []
-        assert got == want == ((1 << prog.n_defaults) - 1, 0, refuted, 0, ProofOutcome.PROVED)
+        assert got == want == ((1 << prog.n_defaults) - 1, 0, refuted, (), ProofOutcome.PROVED)
 
 
 def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
     # verify reads the candidate's stored row, and opens the candidate's own
-    # session only to list a certificate's extension atoms or to name an
-    # undecided justification of a row with budget hits; circular support is
+    # session only to list a certificate's extension atoms; the row names an
+    # undecided justification itself, circular support is
     # read off the row's proved prerequisites, and so is consistency, even
     # when the row leaves it undecided (every query of this W's row is
     # settled by forward chaining, but its consistency needs two splits).
@@ -360,19 +357,18 @@ def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
              (parse_theory("d: a : t / b.\nd: b : u / a."), {1, 2}, DEFAULT_BUDGET,
               "ungrounded", 0),
              (hard_w, {1}, one_split, "undecided", 0),
-             # justification !a is left undecided, and the session names it
+             # justification !a is left undecided, and the row names it
              (parse_theory("w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : !a / e."), {1},
-              ProofBudget(max_depth=1, max_splits=1), "undecided", 1)]
+              ProofBudget(max_depth=1, max_splits=1), "undecided", 0)]
     for theory, applied, budget, reason, sessions in cases:
         prog = compile_theory(theory)
-        chrom = chromosome_from_applied(prog.n_defaults, applied)
         store = _VerdictCache(prog, budget)
-        want = verify(theory, chrom, budget, program=prog, _cache=store)
+        want = verify(theory, applied, budget, program=prog, _cache=store)
         store.verdicts(sum(1 << (i - 1) for i in applied))
         opened = []
         monkeypatch.setattr(verifier, "CandidateQuerySession",
                             lambda *args: opened.append(args) or CandidateQuerySession(*args))
-        got = verify(theory, chrom, budget, program=prog, _cache=store)
+        got = verify(theory, applied, budget, program=prog, _cache=store)
         monkeypatch.undo()
         assert got == want
         assert getattr(got, "reason", "certified") == reason
