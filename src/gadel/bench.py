@@ -202,10 +202,10 @@ def two_loops_demo() -> DefaultTheory:
 
 
 def run_batch(theory: DefaultTheory, params: GaParams, repetitions: int,
-              base_seed: int = 0, name: str = "problem",
+              name: str = "problem",
               table: PenaltyTable = UNIT_PENALTIES,
               on_generation=None) -> list[dict]:
-    """Repeat the search with seeds base_seed .. base_seed+repetitions-1.
+    """Repeat the search with seeds rng_seed .. rng_seed+repetitions-1.
 
     Each run gives one JSON record: problem, seed, outcome ("found" or
     "exhausted"), generations, restarts, wall_ms, rejection_reasons as
@@ -218,7 +218,7 @@ def run_batch(theory: DefaultTheory, params: GaParams, repetitions: int,
     program = compile_theory(theory)
     records = []
     for k in range(repetitions):
-        seeded = replace(params, rng_seed=base_seed + k)
+        seeded = replace(params, rng_seed=params.rng_seed + k)
         t0 = time.perf_counter()
         outcome = evolve(program, theory, seeded, table, on_generation=on_generation)
         wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -42,17 +42,18 @@ def _params_from_args(args) -> GaParams:
 
 
 def _add_ga_arguments(ap) -> None:
-    ap.add_argument("--pop-size", type=int, default=100, help="population size")
-    ap.add_argument("--pc", type=float, default=0.8, help="crossover rate")
-    ap.add_argument("--pm", type=float, default=0.1, help="mutation rate")
-    ap.add_argument("--max-gens", type=int, default=500, help="generation limit")
-    ap.add_argument("--restart", type=int, default=6,
+    d = GaParams()
+    ap.add_argument("--pop-size", type=int, default=d.population_size, help="population size")
+    ap.add_argument("--pc", type=float, default=d.crossover_rate, help="crossover rate")
+    ap.add_argument("--pm", type=float, default=d.mutation_rate, help="mutation rate")
+    ap.add_argument("--max-gens", type=int, default=d.max_generations, help="generation limit")
+    ap.add_argument("--restart", type=int, default=d.restart_after,
                     help="restart after this many generations without a certified answer")
-    ap.add_argument("--select-frac", type=float, default=0.25,
+    ap.add_argument("--select-frac", type=float, default=d.selection_fraction,
                     help="fraction of the population kept as parents")
     ap.add_argument("--penalties", default=None, metavar="p2,p3,p4,p5,p9,p13",
                     help="six positive finite penalty weights (default: all 1)")
-    ap.add_argument("--seed", type=int, default=0, help="RNG seed")
+    ap.add_argument("--seed", type=int, default=d.rng_seed, help="RNG seed")
 
 
 def _csv_row(record: dict) -> str:
@@ -74,8 +75,7 @@ def cmd_solve(args) -> int:
         def trace(gen, best, mean, size, restarts):
             print("gen %d best=%.3f mean=%.3f size=%d restarts=%d"
                   % (gen, best, mean, size, restarts), file=sys.stderr)
-    records = run_batch(theory, params, 1, base_seed=params.rng_seed,
-                        name=name, table=table, on_generation=trace)
+    records = run_batch(theory, params, 1, name=name, table=table, on_generation=trace)
     record = records[0]
     if args.json:
         print(json.dumps(record, indent=2, sort_keys=True))
@@ -145,8 +145,7 @@ def cmd_bench(args) -> int:
     params = _params_from_args(args)
     table = _parse_penalties(args.penalties) if args.penalties else UNIT_PENALTIES
     name = Path(args.theory).stem
-    records = run_batch(theory, params, args.reps, base_seed=args.seed,
-                        name=name, table=table)
+    records = run_batch(theory, params, args.reps, name=name, table=table)
     stats = batch_stats(records)
     if args.json:
         doc = {"problem": name, "records": records, "stats": stats}

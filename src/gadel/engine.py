@@ -23,14 +23,16 @@ and `second` (one bit of each rule's pair), the applied set is
 `first & ~second`, the applicable set is `proved & ~refuted`, and only the
 rules where the two differ are charged, lowest rule first.
 
-The population is a set of distinct chromosomes, evaluated in sorted
-order; a chromosome that survives from the generation before keeps its
-report.  Each generation selects parents from the ranking, breeds offspring
-from them until the set is full again, and tops up with fresh random
-chromosomes when the survivors cannot produce enough distinct offspring,
-so the collapsing of duplicates is what feeds exploration.  A run that
-goes `restart_after` generations without a certified answer is reseeded
-from scratch, preserving the generation counter.
+The population is a set of distinct chromosomes, evaluated in set order;
+a chromosome that survives from the generation before keeps its report.
+Reports are ranked by (penalty, chromosome), a total order, so the ranking
+is part of the seeded trajectory and the evaluation order is not.  Each
+generation selects parents from the ranking, breeds offspring from them
+until the set is full again, and tops up with fresh random chromosomes
+when the survivors cannot produce enough distinct offspring, so the
+collapsing of duplicates is what feeds exploration.  A run that goes
+`restart_after` generations without a certified answer is reseeded from
+scratch, preserving the generation counter.
 
 Selection is rank-based but with two twists, both born from how the
 penalty table treats contradictions.  A candidate theory that is
@@ -59,8 +61,8 @@ from dataclasses import astuple, dataclass
 
 from .formulas import DefaultTheory
 from .program import ClauseProgram
-from .prover import DEFAULT_BUDGET, ProofBudget
-from .verifier import ExtensionCertificate, Rejection, _rules, _VerdictCache, verify
+from .prover import DEFAULT_BUDGET, ProofBudget, ProofOutcome
+from .verifier import ExtensionCertificate, _rules, _VerdictCache, verify
 
 Chromosome = tuple[int, ...]
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit values to binary digits, for gene_masks
@@ -134,7 +136,8 @@ def fitness(program: ClauseProgram, chromosome: Chromosome,
     cache = _cache if _cache is not None else _VerdictCache(program, budget)
     row = cache.verdicts(applied)
     return FitnessReport(chromosome, _penalty(table, first, second, row), applied,
-                         row[1].bit_count() + len(row[3]))
+                         row[1].bit_count() + len(row[3])
+                         + (row[4] is ProofOutcome.BUDGET_EXHAUSTED))
 
 
 def _penalty(table: PenaltyTable, first: int, second: int, row) -> float:
@@ -322,7 +325,6 @@ def _select_parents(reports: list[FitnessReport], keep: int,
 def evolve(program: ClauseProgram, theory: DefaultTheory,
            params: GaParams = GaParams(),
            table: PenaltyTable = UNIT_PENALTIES,
-           budget: ProofBudget = DEFAULT_BUDGET,
            on_generation=None) -> SearchOutcome:
     """Run the search until a certified extension appears or budgets run out.
 
@@ -337,29 +339,28 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     if not math.isfinite(2 * n * max(astuple(table))):
         raise ValueError("penalty weights too large: a total over %d rules could overflow"
                          % n)
-    genes = min(params.population_size, 1 << 2 * n) * 2 * n
+    target = min(params.population_size, 1 << 2 * n)
+    genes = target * 2 * n
     if genes > MAX_POPULATION_GENES:
         raise ValueError("population too large: %d members over %d rules hold %d genes, "
                          "more than %d" % (params.population_size, n, genes,
                                            MAX_POPULATION_GENES))
     rng = random.Random(params.rng_seed)
-    cache = _VerdictCache(program, budget)
+    cache = _VerdictCache(program, DEFAULT_BUDGET)
     keep = max(1, math.ceil(params.selection_fraction * params.population_size))
     population = initial_population(n, params.population_size, rng)
     generations = 0
     restarts = 0
     stalled = 0
     reasons: dict[str, int] = {}
-    # verdict of verify() depends only on the applied set, so memoize it
-    checked: dict[int, ExtensionCertificate | Rejection] = {}
     descended: set[int] = set()
     best: FitnessReport | None = None
     scored: dict[Chromosome, FitnessReport] = {}  # last generation's, reused for survivors
 
     while generations < params.max_generations:
         generations += 1
-        reports = [scored.get(chrom) or fitness(program, chrom, table, budget, _cache=cache)
-                   for chrom in sorted(population)]
+        reports = [scored.get(chrom) or fitness(program, chrom, table, _cache=cache)
+                   for chrom in population]
         scored = {rep.chromosome: rep for rep in reports}
         reports.sort(key=lambda r: (r.total, r.chromosome))
         # polish the best satisfiable candidate, once per distinct start
@@ -370,7 +371,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
             descended.add(polished)
             if polished != start:
                 chrom = chromosome_from_mask(n, polished)
-                reports.append(fitness(program, chrom, table, budget, _cache=cache))
+                reports.append(fitness(program, chrom, table, _cache=cache))
                 reports.sort(key=lambda r: (r.total, r.chromosome))
         if best is None or reports[0].total < best.total:
             best = reports[0]
@@ -382,11 +383,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
         for rep in reports:
             if rep.total != 0:
                 break
-            outcome = checked.get(rep.applied)
-            if outcome is None:
-                outcome = verify(theory, _rules(rep.applied), budget, program=program,
-                                 _cache=cache)
-                checked[rep.applied] = outcome
+            outcome = verify(theory, _rules(rep.applied), _cache=cache)
             if isinstance(outcome, ExtensionCertificate):
                 return Found(rep.chromosome, outcome, generations, restarts,
                              _reason_counts(reasons))
@@ -400,8 +397,6 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
             stalled = 0
             continue
         selected = _select_parents(reports, keep, cache)
-        width = 2 * n
-        target = min(params.population_size, 1 << width)
         population = _next_population(selected, n, params, rng, target)
 
     assert best is not None

@@ -36,16 +36,17 @@ same few sets.  A stored row is what a fresh session gives, budget
 exhaustion included, so sharing it changes no score, certificate or
 rejection.
 
-`verify` reads its own candidate's row like that of any other applied
-set: the undecided justifications, the refuted ones, the consistency, and
-for the circular-support check the proved prerequisites.  It opens a
-session of its own only to list a certificate's extension atoms, with the
-store's program and budget.  An enumeration therefore keeps one row per
-candidate, at most 2^12, plus the rows of their stages.  A stage row is
-built only while some admissible rule (one whose justifications the
-candidate leaves unrefuted) is still outside the stage: a stage that has
-admitted all of them is the fixpoint, and needs no row of its own unless
-it is a candidate.
+`_certify` decides an applied set: a certificate, None for no extension,
+or UndecidedError when the budget leaves an answer it needs open.  It
+reads its candidate's row like any other, and opens a session only to list
+a certificate's extension atoms.  `verify` alone explains: it turns
+UndecidedError into an "undecided" rejection, and `_rejection` rereads the
+row and stages to say why a decided set is no extension.  An enumeration
+builds no rejection and keeps one row per candidate, at most 2^12, plus
+the rows of their stages.  A stage row is built only while some admissible
+rule (one whose justifications the candidate leaves unrefuted) is still
+outside the stage: a stage that has admitted all of them is the fixpoint,
+and needs no row of its own unless it is a candidate.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ class Rejection:
 
 
 class UndecidedError(Exception):
-    """A question the proof budget left undecided.  `verify` turns it into an
-    "undecided" rejection; `enumerate_extensions` raises it, naming the
-    candidate's applied set, since that candidate may be an extension."""
+    """A question the proof budget left undecided, raised by `_certify`.  `verify`
+    turns it into an "undecided" rejection; `enumerate_extensions` raises it
+    again, naming the candidate's applied set, since it may be an extension."""
 
 
 def _rules(mask: int) -> frozenset[int]:
@@ -168,7 +169,6 @@ def _rules_word(mask: int) -> str:
 
 
 def verify(theory: DefaultTheory, applied, budget: ProofBudget = DEFAULT_BUDGET,
-           program: ClauseProgram | None = None,
            _cache: _VerdictCache | None = None) -> ExtensionCertificate | Rejection:
     """Certify or reject the candidate theory whose applied rules are the
     1-based indices `applied`; ValueError for an index outside 1..n.
@@ -187,38 +187,41 @@ def verify(theory: DefaultTheory, applied, budget: ProofBudget = DEFAULT_BUDGET,
     if stray:
         raise ValueError("default indices out of range 1..%d: %s"
                          % (theory.n_defaults, sorted(stray)))
-    cache = _cache or _VerdictCache(program or compile_theory(theory), budget)
-    return _certify(sum(1 << (i - 1) for i in applied), cache)
-
-
-def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | Rejection:
-    """`verify` of the applied rule mask `applied`, with the store's program
-    and budget."""
-    program = cache.program
-    n = program.n_defaults
-    proved, _, refuted, undecided, sat = cache.verdicts(applied)
-    if undecided:
-        i, j = undecided[0]
-        return Rejection("undecided",
-                         "justification %d of rule %d not decided within budget" % (j, i))
+    cache = _cache or _VerdictCache(compile_theory(theory), budget)
+    mask = sum(1 << (i - 1) for i in applied)
     try:
-        trace = _staged_fixpoint(((1 << n) - 1) & ~refuted, cache)
+        return _certify(mask, cache) or _rejection(mask, cache)
     except UndecidedError as stop:
         return Rejection("undecided", str(stop))
-    fixpoint = trace[-1]
+
+
+def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | None:
+    """The certificate of the applied rule mask `applied`, or None when it
+    is not an extension; UndecidedError when the store's budget leaves an
+    answer it needs open."""
+    program = cache.program
+    _, _, refuted, undecided, sat = cache.verdicts(applied)
+    if undecided:
+        i, j = undecided[0]
+        raise UndecidedError("justification %d of rule %d not decided within budget" % (j, i))
+    trace = _staged_fixpoint(((1 << program.n_defaults) - 1) & ~refuted, cache)
     if sat is ProofOutcome.BUDGET_EXHAUSTED:
-        return Rejection("undecided", "consistency of the candidate not decided within budget")
-    consistent = sat is ProofOutcome.NOT_PROVED
+        raise UndecidedError("consistency of the candidate not decided within budget")
+    if trace[-1] != applied:
+        return None
+    session = CandidateQuerySession(program, _rules(applied), cache.budget)
+    return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
+                                sat is ProofOutcome.NOT_PROVED, _derived_atoms(program, session))
 
-    if fixpoint == applied:
-        session = CandidateQuerySession(program, _rules(applied), cache.budget)
-        return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
-                                    consistent, _derived_atoms(program, session))
 
+def _rejection(applied: int, cache: _VerdictCache) -> Rejection:
+    """Why `_certify` found the decided applied rule mask `applied` no extension."""
+    proved, _, refuted, _, sat = cache.verdicts(applied)
+    fixpoint = _staged_fixpoint(((1 << cache.program.n_defaults) - 1) & ~refuted, cache)[-1]
     missing = applied & ~fixpoint
     blocked = missing & refuted
     if blocked:
-        if not consistent:
+        if sat is ProofOutcome.PROVED:
             about_w = "; the certain knowledge itself is inconsistent" \
                 if cache.verdicts(0)[4] is ProofOutcome.PROVED else ""
             return Rejection("inconsistent",
@@ -269,11 +272,12 @@ def enumerate_extensions(theory: DefaultTheory,
     cache = _VerdictCache(program, budget)
     found: list[ExtensionCertificate] = []
     for mask in range(1 << n):
-        got = _certify(mask, cache)
-        if isinstance(got, ExtensionCertificate):
-            found.append(got)
-        elif got.reason == "undecided":
+        try:
+            got = _certify(mask, cache)
+        except UndecidedError as stop:
             raise UndecidedError("applied set {%s}: %s"
-                                 % (", ".join(map(str, sorted(_rules(mask)))), got.detail))
+                                 % (", ".join(map(str, sorted(_rules(mask)))), stop)) from None
+        if got is not None:
+            found.append(got)
     found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))
     return found

@@ -158,7 +158,7 @@ def test_criterion_2_zero_fitness_candidates_match_enumeration():
             key = frozenset(i for i in range(1, n + 1)
                             if chrom[2 * i - 2:2 * i] == (1, 0))
             if key not in judged:
-                judged[key] = verify(theory, key, program=program)
+                judged[key] = verify(theory, key, _cache=_VerdictCache(program, DEFAULT_BUDGET))
             res = judged[key]
             if isinstance(res, ExtensionCertificate):
                 certified.add(res.applied)

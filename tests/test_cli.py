@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from gadel.bench import batch_stats, complete_arcs, run_batch
-from gadel.cli import CSV_HEADER, main
+from gadel.cli import CSV_HEADER, _params_from_args, build_parser, main
 from gadel.engine import GaParams
 from gadel.formulas import MAX_CLAUSES, parse_theory
 from gadel.program import MAX_PROGRAM_CLAUSES
@@ -222,7 +222,8 @@ def test_json_output_is_the_run_batch_record(nixon_file, capsys):
     params = GaParams(population_size=16)
     assert main(["solve", nixon_file, "--pop-size", "16", "--seed", "3", "--json"]) == 0
     printed = json.loads(capsys.readouterr().out)
-    records = run_batch(parse_theory(NIXON), params, 1, base_seed=3, name="nixon")
+    records = run_batch(parse_theory(NIXON), GaParams(population_size=16, rng_seed=3), 1,
+                        name="nixon")
     assert _masked(printed) == _masked(records[0])
     assert main(["bench", nixon_file, "--reps", "3", "--pop-size", "16", "--json"]) == 0
     printed = json.loads(capsys.readouterr().out)
@@ -323,3 +324,8 @@ def test_module_entry_point(nixon_file):
                          capture_output=True, text=True)
     assert got.returncode == 0
     assert json.loads(got.stdout)["applied"] == [1]
+
+
+def test_ga_defaults_are_ga_params_defaults():
+    for command in ("solve", "bench"):
+        assert _params_from_args(build_parser().parse_args([command, "t.dt"])) == GaParams()

@@ -121,6 +121,22 @@ def test_fitness_reports_budget_hits():
     assert full.total == 1.0  # decided: applicable but unapplied
 
 
+def test_fitness_counts_an_undecided_consistency_as_a_budget_hit():
+    # three pigeons in two holes: W is unsatisfiable, but showing it takes
+    # more than one split, so the row decides every rule query and leaves
+    # only the consistency open, which consistent() reads as "no"
+    world = ["w: p%da || p%db." % (p, p) for p in (1, 2, 3)]
+    world += ["w: !p%d%s || !p%d%s." % (p, h, q, h)
+              for h in "ab" for p, q in ((1, 2), (1, 3), (2, 3))]
+    prog = compile_theory(parse_theory("\n".join(world + ["d: t || !t : / c."])))
+    one_split = ProofBudget(max_depth=100, max_splits=1)
+    cache = _VerdictCache(prog, one_split)
+    assert cache.verdicts(1) == (1, 0, 0, (), ProofOutcome.BUDGET_EXHAUSTED)
+    assert not cache.consistent(1)
+    for chrom in ((1, 0), (0, 0)):
+        assert fitness(prog, chrom, budget=one_split).budget_hits == 1
+
+
 def test_fitness_rejects_wrong_length():
     t = parse_theory("w: a.\nd: a : b / c.")
     prog = compile_theory(t)

@@ -185,9 +185,8 @@ def test_verify_with_search_filled_store(budget, theory):
     undecided = False
     for mask in range(1 << n):
         applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-        got = verify(theory, applied, budget, program=program, _cache=store)
-        assert got == verify(theory, applied, budget, program=program,
-                             _cache=_VerdictCache(program, budget))
+        got = verify(theory, applied, _cache=store)
+        assert got == verify(theory, applied, _cache=_VerdictCache(program, budget))
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
         else:

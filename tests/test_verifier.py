@@ -144,6 +144,16 @@ def test_enumeration_raises_on_an_undecided_candidate():
         enumerate_extensions(t, ProofBudget(max_depth=100, max_splits=1))
 
 
+def test_enumeration_builds_no_rejection(monkeypatch):
+    # enumerate_extensions asks _certify for a certificate or None, and
+    # only verify writes a rejection and its text
+    monkeypatch.setattr(verifier, "Rejection", None)
+    monkeypatch.setattr(verifier, "_rules_word", None)
+    assert [c.applied for c in enumerate_extensions(build_nixon())] == [frozenset({1}),
+                                                                       frozenset({2})]
+    assert enumerate_extensions(two_loops_demo()) == []
+
+
 def test_verify_validates_rule_indices():
     t = parse_theory("w: a.\nd: a : b / c.")
     with pytest.raises(ValueError, match=r"^default indices out of range 1\.\.1: \[0\]$"):
@@ -277,8 +287,8 @@ def test_shared_stage_verdicts_change_no_answer(budget):
         cache = _VerdictCache(prog, budget)
         for mask in range(1 << n):
             applied = _rules(mask)
-            shared = verify(theory, applied, budget, program=prog, _cache=cache)
-            assert shared == verify(theory, applied, budget, program=prog)
+            shared = verify(theory, applied, _cache=cache)
+            assert shared == verify(theory, applied, _cache=_VerdictCache(prog, budget))
             reasons.add(getattr(shared, "reason", "certified"))
         # each stored row is what a fresh session on its applied set answers
         for stage, row in cache.store.items():
@@ -304,7 +314,7 @@ def test_store_keeps_no_row_for_a_finished_stage():
     for mask in range(1 << 6):
         applied = {i + 1 for i in range(6) if mask >> i & 1}
         cache = _VerdictCache(prog, DEFAULT_BUDGET)
-        got = verify(ring, applied, program=prog, _cache=cache)
+        got = verify(ring, applied, _cache=cache)
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
         admissible = [i for i in range(1, 7) if i % 6 + 1 not in applied]
@@ -363,12 +373,12 @@ def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
     for theory, applied, budget, reason, sessions in cases:
         prog = compile_theory(theory)
         store = _VerdictCache(prog, budget)
-        want = verify(theory, applied, budget, program=prog, _cache=store)
+        want = verify(theory, applied, _cache=store)
         store.verdicts(sum(1 << (i - 1) for i in applied))
         opened = []
         monkeypatch.setattr(verifier, "CandidateQuerySession",
                             lambda *args: opened.append(args) or CandidateQuerySession(*args))
-        got = verify(theory, applied, budget, program=prog, _cache=store)
+        got = verify(theory, applied, _cache=store)
         monkeypatch.undo()
         assert got == want
         assert getattr(got, "reason", "certified") == reason
