@@ -14,7 +14,6 @@ from __future__ import annotations
 import statistics
 import time
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 
 from .engine import (UNIT_PENALTIES, Found, GaParams, PenaltyTable, evolve)
@@ -218,7 +217,7 @@ def run_batch(theory: DefaultTheory, params: GaParams, repetitions: int,
     program = compile_theory(theory)
     records = []
     for k in range(repetitions):
-        seeded = replace(params, rng_seed=params.rng_seed + k)
+        seeded = params._replace(rng_seed=params.rng_seed + k)
         t0 = time.perf_counter()
         outcome = evolve(program, theory, seeded, table, on_generation=on_generation)
         wall_ms = (time.perf_counter() - t0) * 1000.0

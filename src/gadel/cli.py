@@ -20,9 +20,7 @@ def _parse_penalties(text: str) -> PenaltyTable:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 6:
         raise ValueError("--penalties wants six values: p2,p3,p4,p5,p9,p13")
-    vals = [float(p) for p in parts]
-    return PenaltyTable(p2=vals[0], p3=vals[1], p4=vals[2],
-                        p5=vals[3], p9=vals[4], p13=vals[5])
+    return PenaltyTable(*[float(p) for p in parts])
 
 
 def _parse_indices(text: str) -> list[int]:
@@ -42,18 +40,18 @@ def _params_from_args(args) -> GaParams:
 
 
 def _add_ga_arguments(ap) -> None:
-    d = GaParams()
-    ap.add_argument("--pop-size", type=int, default=d.population_size, help="population size")
-    ap.add_argument("--pc", type=float, default=d.crossover_rate, help="crossover rate")
-    ap.add_argument("--pm", type=float, default=d.mutation_rate, help="mutation rate")
-    ap.add_argument("--max-gens", type=int, default=d.max_generations, help="generation limit")
-    ap.add_argument("--restart", type=int, default=d.restart_after,
+    d = GaParams._field_defaults
+    ap.add_argument("--pop-size", type=int, default=d["population_size"], help="population size")
+    ap.add_argument("--pc", type=float, default=d["crossover_rate"], help="crossover rate")
+    ap.add_argument("--pm", type=float, default=d["mutation_rate"], help="mutation rate")
+    ap.add_argument("--max-gens", type=int, default=d["max_generations"], help="generation limit")
+    ap.add_argument("--restart", type=int, default=d["restart_after"],
                     help="restart after this many generations without a certified answer")
-    ap.add_argument("--select-frac", type=float, default=d.selection_fraction,
+    ap.add_argument("--select-frac", type=float, default=d["selection_fraction"],
                     help="fraction of the population kept as parents")
     ap.add_argument("--penalties", default=None, metavar="p2,p3,p4,p5,p9,p13",
                     help="six positive finite penalty weights (default: all 1)")
-    ap.add_argument("--seed", type=int, default=d.rng_seed, help="RNG seed")
+    ap.add_argument("--seed", type=int, default=d["rng_seed"], help="RNG seed")
 
 
 def _csv_row(record: dict) -> str:

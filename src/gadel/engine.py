@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple, dataclass
+from collections import namedtuple
 
 from .formulas import DefaultTheory
 from .program import ClauseProgram
@@ -84,8 +84,7 @@ def chromosome_from_mask(n_defaults: int, applied: int) -> Chromosome:
     return tuple([b for i in range(n_defaults) for b in (applied >> i & 1, 0)])
 
 
-@dataclass(frozen=True, slots=True)
-class PenaltyTable:
+class PenaltyTable(namedtuple("PenaltyTable", "p2 p3 p4 p5 p9 p13", defaults=(1.0,) * 6)):
     """Positive finite weights for the six penalized gene/verdict combinations.
 
     Row naming follows the position in the 16-row gene/verdict grid:
@@ -94,17 +93,15 @@ class PenaltyTable:
     row 13 the same for (0,0).
     """
 
-    p2: float = 1.0
-    p3: float = 1.0
-    p4: float = 1.0
-    p5: float = 1.0
-    p9: float = 1.0
-    p13: float = 1.0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
-        for name in ("p2", "p3", "p4", "p5", "p9", "p13"):
-            if not 0 < getattr(self, name) < math.inf:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, weight in zip(self._fields, self):
+            if not 0 < weight < math.inf:
                 raise ValueError("penalty %s must be positive and finite" % name)
+        return self
 
 
 UNIT_PENALTIES = PenaltyTable()
@@ -115,12 +112,8 @@ UNIT_PENALTIES = PenaltyTable()
 MAX_POPULATION_GENES = 1 << 24
 
 
-@dataclass(frozen=True, slots=True)
-class FitnessReport:
-    chromosome: Chromosome
-    total: float
-    applied: int  # rule mask, bit i-1 for rule i
-    budget_hits: int
+# applied is a rule mask, bit i-1 for rule i
+FitnessReport = namedtuple("FitnessReport", "chromosome total applied budget_hits")
 
 
 def fitness(program: ClauseProgram, chromosome: Chromosome,
@@ -163,17 +156,14 @@ def _penalty(table: PenaltyTable, first: int, second: int, row) -> float:
     return total
 
 
-@dataclass(frozen=True, slots=True)
-class GaParams:
-    population_size: int = 100
-    crossover_rate: float = 0.8
-    mutation_rate: float = 0.1
-    max_generations: int = 500
-    restart_after: int = 6
-    selection_fraction: float = 0.25
-    rng_seed: int = 0
+class GaParams(namedtuple("GaParams", "population_size crossover_rate mutation_rate "
+                          "max_generations restart_after selection_fraction rng_seed",
+                          defaults=(100, 0.8, 0.1, 500, 6, 0.25, 0))):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.population_size < 1:
             raise ValueError("population_size must be at least 1")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -184,24 +174,12 @@ class GaParams:
             raise ValueError("generation limits must be at least 1")
         if not 0.0 < self.selection_fraction <= 1.0:
             raise ValueError("selection_fraction must lie in (0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class Found:
-    chromosome: Chromosome
-    certificate: ExtensionCertificate
-    generations_used: int
-    restarts_used: int
-    rejection_reasons: tuple[tuple[str, int], ...]
-
-
-@dataclass(frozen=True)
-class Exhausted:
-    best: FitnessReport
-    generations_used: int
-    restarts_used: int
-    rejection_reasons: tuple[tuple[str, int], ...]
-
+Found = namedtuple("Found", "chromosome certificate generations_used restarts_used "
+                            "rejection_reasons")
+Exhausted = namedtuple("Exhausted", "best generations_used restarts_used rejection_reasons")
 
 SearchOutcome = Found | Exhausted
 
@@ -336,7 +314,7 @@ def evolve(program: ClauseProgram, theory: DefaultTheory,
     """
     n = program.n_defaults
     # twice the largest possible total, so rounding in the sum cannot reach inf
-    if not math.isfinite(2 * n * max(astuple(table))):
+    if not math.isfinite(2 * n * max(table)):
         raise ValueError("penalty weights too large: a total over %d rules could overflow"
                          % n)
     target = min(params.population_size, 1 << 2 * n)

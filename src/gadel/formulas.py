@@ -11,6 +11,10 @@ clause-form conversion raises ValueError when a formula's clause form would
 pass MAX_CLAUSES.  A clause is a pair (heads, body) of atom-id masks (see
 :func:`to_cnf`), the one clause form from conversion to the prover.
 
+A formula node is a tuple that leads with its class (see :class:`Formula`),
+and a rule and a theory are named tuples, so none of them runs generated
+code when this module is imported.
+
 The concrete syntax accepted by :func:`parse_theory`::
 
     # comment until end of line
@@ -30,42 +34,64 @@ tree that later walks recurse over.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from operator import itemgetter
 
 
-class Formula:
-    """Base class for formula nodes; concrete nodes are frozen dataclasses."""
+class Formula(tuple):
+    """Base class for formula nodes.
+
+    A node is the tuple (node class, *fields), so equality and hashing
+    tell And(a, b) from Or(a, b).  Fields are read-only properties, and a
+    node is not iterable, so it cannot pass for a list of formulas.
+    """
 
     __slots__ = ()
+    __iter__ = None
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self[1:])))
+
+    def __getnewargs__(self):  # pickle and copy rebuild a node from its fields
+        return self[1:]
 
 
 _ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ()
+    name = property(itemgetter(1))
 
-    def __post_init__(self):
-        if not _ATOM_RE.match(self.name):
-            raise ValueError("bad atom name: %r" % (self.name,))
+    def __new__(cls, name):
+        if not _ATOM_RE.match(name):
+            raise ValueError("bad atom name: %r" % (name,))
+        return tuple.__new__(cls, (cls, name))
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = ()
+    operand = property(itemgetter(1))
+
+    def __new__(cls, operand):
+        return tuple.__new__(cls, (cls, operand))
 
 
-@dataclass(frozen=True, slots=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left, right):
+        return tuple.__new__(cls, (cls, left, right))
 
 
-@dataclass(frozen=True, slots=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+
+
+class Or(_Binary):
+    __slots__ = ()
 
 
 def conj(*parts):
@@ -128,14 +154,16 @@ def _nnf_clauses(f: Formula, positive: bool, table: AtomTable) -> list[tuple[int
     # Returns CNF as (heads, body) mask pairs, distributing disjunction over
     # conjunction.  `positive` tracks negation parity instead of rewriting
     # the tree.
-    if isinstance(f, Not):
-        return _nnf_clauses(f.operand, not positive, table)
-    if isinstance(f, Atom):
-        bit = 1 << table.intern(f.name)
+    # f[0] is the node class and f[1:] its fields; indexing beats the properties
+    kind = f[0]
+    if kind is Not:
+        return _nnf_clauses(f[1], not positive, table)
+    if kind is Atom:
+        bit = 1 << table.intern(f[1])
         return [(bit, 0)] if positive else [(0, bit)]
-    left = _nnf_clauses(f.left, positive, table)
-    right = _nnf_clauses(f.right, positive, table)
-    conjunction = isinstance(f, And) == positive
+    left = _nnf_clauses(f[1], positive, table)
+    right = _nnf_clauses(f[2], positive, table)
+    conjunction = (kind is And) == positive
     if (len(left) + len(right) if conjunction else len(left) * len(right)) > MAX_CLAUSES:
         raise ValueError("formula has more than %d clauses in clause form" % MAX_CLAUSES)
     if conjunction:
@@ -159,21 +187,24 @@ def to_cnf(f: Formula, table: AtomTable | None = None) -> frozenset[tuple[int, i
                      if not heads & body)
 
 
-@dataclass(frozen=True, slots=True)
-class Default:
-    """One default rule; justifications may be empty, index is 1-based."""
-
-    index: int
-    prerequisite: Formula
-    justifications: tuple[Formula, ...]
-    consequent: Formula
+# One default rule; justifications may be empty, index is 1-based.
+Default = namedtuple("Default", "index prerequisite justifications consequent")
 
 
-@dataclass(frozen=True)
-class DefaultTheory:
-    world: tuple[Formula, ...]
-    defaults: tuple[Default, ...]
-    atoms: AtomTable = field(compare=False)
+class DefaultTheory(namedtuple("DefaultTheory", "world defaults atoms")):
+    """Certain knowledge W, default rules D and the table of their atoms.
+    Equality and hashing cover (world, defaults) only: the table follows."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, DefaultTheory) and self[:2] == other[:2]
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare the tables
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @property
     def n_defaults(self) -> int:

@@ -62,7 +62,7 @@ rather than guessing.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .program import ClauseProgram
 
@@ -73,16 +73,17 @@ class ProofOutcome(enum.Enum):
     BUDGET_EXHAUSTED = "budget_exhausted"
 
 
-@dataclass(frozen=True, slots=True)
-class ProofBudget:
+class ProofBudget(namedtuple("ProofBudget", "max_depth max_splits", defaults=(10_000, 64))):
     """Hard caps for one refutation: branch nodes and case splits."""
 
-    max_depth: int = 10_000
-    max_splits: int = 64
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_depth <= 0 or self.max_splits <= 0:
             raise ValueError("budget limits must be positive")
+        return self
 
 
 DEFAULT_BUDGET = ProofBudget()

@@ -51,26 +51,18 @@ and needs no row of its own unless it is a candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .formulas import DefaultTheory
 from .program import ClauseProgram, compile_theory
 from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 
-
-@dataclass(frozen=True, slots=True)
-class ExtensionCertificate:
-    applied: frozenset[int]
-    trace: tuple[frozenset[int], ...]
-    grounded: bool
-    consistent: bool
-    extension_atoms: tuple[str, ...] | None
-
-
-@dataclass(frozen=True, slots=True)
-class Rejection:
-    reason: str
-    detail: str
+# applied: frozenset of rule indices; trace: tuple of such sets, one per
+# stage; extension_atoms: sorted atom names, None when the budget leaves
+# one undecided
+ExtensionCertificate = namedtuple("ExtensionCertificate",
+                                  "applied trace grounded consistent extension_atoms")
+Rejection = namedtuple("Rejection", "reason detail")
 
 
 class UndecidedError(Exception):
@@ -151,8 +143,6 @@ def _staged_fixpoint(admissible: int, cache: _VerdictCache) -> list[int]:
 
 def _derived_atoms(program: ClauseProgram,
                    session: CandidateQuerySession) -> tuple[str, ...] | None:
-    if program.atom_count > 64:
-        return None
     names = []
     for name, qid in zip(program.atom_names, program.atom_ids):
         got = session.answer(qid)

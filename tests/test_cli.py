@@ -329,3 +329,13 @@ def test_module_entry_point(nixon_file):
 def test_ga_defaults_are_ga_params_defaults():
     for command in ("solve", "bench"):
         assert _params_from_args(build_parser().parse_args([command, "t.dt"])) == GaParams()
+
+
+def test_import_loads_no_code_generating_modules():
+    # -S: a site hook may import typing itself, before gadel does
+    got = subprocess.run([sys.executable, "-S", "-c",
+                          "import sys, gadel.cli; print(sorted({'dataclasses', 'inspect', "
+                          "'typing'} & set(sys.modules)))"],
+                         capture_output=True, text=True)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"

@@ -399,3 +399,22 @@ def test_evolve_scores_each_survivor_once(monkeypatch):
     assert isinstance(out, Exhausted)
     assert out.generations_used == 3
     assert sorted(scored) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_parameter_records_validate_on_every_construction_path():
+    # _replace and _make build a new record, so they check it like the constructor
+    for record, bad, message in (
+            (GaParams(), {"population_size": 0}, "population_size"),
+            (GaParams(), {"selection_fraction": 1.5}, "selection_fraction"),
+            (PenaltyTable(), {"p9": float("nan")}, "positive and finite"),
+            (PenaltyTable(), {"p13": -2.0}, "positive and finite"),
+            (ProofBudget(), {"max_splits": 0}, "budget limits"),
+            (ProofBudget(), {"max_depth": -1}, "budget limits")):
+        with pytest.raises(ValueError, match=message):
+            type(record)(**bad)
+        with pytest.raises(ValueError, match=message):
+            record._replace(**bad)
+        with pytest.raises(ValueError, match=message):
+            type(record)._make([bad.get(f, v) for f, v in zip(record._fields, record)])
+    assert GaParams()._replace(rng_seed=7) == GaParams(rng_seed=7)
+    assert max(PenaltyTable(p4=3.0)) == 3.0

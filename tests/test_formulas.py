@@ -1,13 +1,14 @@
 """Formula trees, CNF conversion and the theory file grammar."""
 
 import itertools
+import pickle
 import random
 import time
 
 import pytest
 
 from gadel.formulas import (MAX_DEPTH, MAX_NESTING, And, Atom, AtomTable, Default,
-                            Not, Or, ParseError, atoms_of, conj, disj,
+                            DefaultTheory, Not, Or, ParseError, atoms_of, conj, disj,
                             format_formula, format_theory, make_theory,
                             parse_theory, tautology, to_cnf)
 from oracles import bits, evaluate
@@ -223,3 +224,54 @@ def test_format_theory_round_trip():
     again = parse_theory(format_theory(th))
     assert again.world == th.world
     assert again.defaults == th.defaults
+
+
+def test_make_theory_keeps_and_or_apart():
+    a, b = Atom("a"), Atom("b")
+    assert And(a, b) != Or(a, b)
+    th = parse_theory("w: a && b.\nw: a || b.\nd: a && b : / c.\nd: a || b : / c.\n")
+    assert th.world == (And(a, b), Or(a, b))
+    assert [d.prerequisite for d in th.defaults] == [And(a, b), Or(a, b)]
+
+
+def test_nodes_hash_by_value_and_are_immutable():
+    f, g = Or(Atom("a"), Not(Atom("b"))), Or(Atom("a"), Not(Atom("b")))
+    assert f == g and f is not g and hash(f) == hash(g)
+    assert len({f, g, And(Atom("a"), Not(Atom("b")))}) == 2
+    for node, field in ((Atom("a"), "name"), (Not(Atom("a")), "operand"),
+                        (f, "left"), (f, "right")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Atom("c"))
+    assert type(f)(f.left, f.right) == f
+    assert repr(f) == "Or(Atom('a'), Not(Atom('b')))"
+    assert pickle.loads(pickle.dumps(f)) == f
+
+
+def test_bare_formula_is_not_a_justification_list():
+    a = Atom("a")
+    with pytest.raises(TypeError):
+        make_theory([], [(a, Atom("b"), a)])
+
+
+def test_theory_equality_ignores_the_atom_table():
+    text = "w: b || !a.\nd: a : c / c && b.\n"
+    one, two = parse_theory(text), parse_theory(text)
+    assert one.atoms is not two.atoms
+    assert one == two and not one != two and hash(one) == hash(two)
+    assert one != parse_theory("w: b || !a.\n")
+    assert DefaultTheory(one.world, one.defaults, AtomTable()) == one
+    # renamed by rebuilding every node, as the benchmark does, then written and read back
+    to = {"a": "x", "b": "y", "c": "z"}
+
+    def walk(f):
+        if isinstance(f, Atom):
+            return Atom(to[f.name])
+        if isinstance(f, Not):
+            return Not(walk(f.operand))
+        return type(f)(walk(f.left), walk(f.right))
+
+    renamed = make_theory([walk(f) for f in one.world],
+                          [(walk(d.prerequisite), [walk(j) for j in d.justifications],
+                            walk(d.consequent)) for d in one.defaults])
+    parsed = parse_theory(format_theory(renamed))
+    assert parsed == renamed and not parsed != renamed and hash(parsed) == hash(renamed)

@@ -383,3 +383,13 @@ def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
         assert got == want
         assert getattr(got, "reason", "certified") == reason
         assert len(opened) == sessions
+
+
+def test_certificate_lists_extension_atoms_past_64_atoms():
+    # a chain of 70 rules over 71 atoms, each rule enabling the next
+    t = parse_theory("w: a0.\n" + "".join("d: a%d : a%d / a%d.\n" % (i, i + 1, i + 1)
+                                           for i in range(70)))
+    got = verify(t, range(1, 71))
+    assert isinstance(got, ExtensionCertificate)
+    assert got.extension_atoms == tuple(sorted("a%d" % i for i in range(71)))
+    assert len(certificate_json(got)["extension_atoms"]) == 71
