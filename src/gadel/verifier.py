@@ -42,11 +42,13 @@ reads its candidate's row like any other, and opens a session only to list
 a certificate's extension atoms.  `verify` alone explains: it turns
 UndecidedError into an "undecided" rejection, and `_rejection` rereads the
 row and stages to say why a decided set is no extension.  An enumeration
-builds no rejection and keeps one row per candidate, at most 2^12, plus
-the rows of their stages.  A stage row is built only while some admissible
-rule (one whose justifications the candidate leaves unrefuted) is still
-outside the stage: a stage that has admitted all of them is the fixpoint,
-and needs no row of its own unless it is a candidate.
+builds no rejection.  It walks the theory's strata, lowest first, and
+keeps one row per choice it tries (each subset of a stratum's rules on top
+of a choice kept below, at most 2^12 per kept choice), plus the rows of
+their stages.  A stage row is built only while some admissible rule (one
+whose justifications the candidate leaves unrefuted) is still outside the
+stage: a stage that has admitted all of them is the fixpoint, and needs no
+row of its own unless it is a candidate.
 """
 
 from __future__ import annotations
@@ -185,23 +187,33 @@ def verify(theory: DefaultTheory, applied, budget: ProofBudget = DEFAULT_BUDGET,
         return Rejection("undecided", str(stop))
 
 
+def _closed(applied: int, rules: int, cache: _VerdictCache) -> list[int] | None:
+    """The stages of the applied rule mask `applied` when it equals the staged
+    fixpoint of the rules of mask `rules` it leaves unrefuted, else None;
+    UndecidedError when the store's budget leaves an answer it needs open."""
+    _, _, refuted, undecided, sat = cache.verdicts(applied)
+    for i, j in undecided:
+        if rules >> (i - 1) & 1:
+            raise UndecidedError("justification %d of rule %d not decided within budget"
+                                 % (j, i))
+    trace = _staged_fixpoint(rules & ~refuted, cache)
+    if sat is ProofOutcome.BUDGET_EXHAUSTED:
+        raise UndecidedError("consistency of the candidate not decided within budget")
+    return trace if trace[-1] == applied else None
+
+
 def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | None:
     """The certificate of the applied rule mask `applied`, or None when it
     is not an extension; UndecidedError when the store's budget leaves an
     answer it needs open."""
     program = cache.program
-    _, _, refuted, undecided, sat = cache.verdicts(applied)
-    if undecided:
-        i, j = undecided[0]
-        raise UndecidedError("justification %d of rule %d not decided within budget" % (j, i))
-    trace = _staged_fixpoint(((1 << program.n_defaults) - 1) & ~refuted, cache)
-    if sat is ProofOutcome.BUDGET_EXHAUSTED:
-        raise UndecidedError("consistency of the candidate not decided within budget")
-    if trace[-1] != applied:
+    trace = _closed(applied, (1 << program.n_defaults) - 1, cache)
+    if trace is None:
         return None
     session = CandidateQuerySession(program, _rules(applied), cache.budget)
     return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
-                                sat is ProofOutcome.NOT_PROVED, _derived_atoms(program, session))
+                                cache.verdicts(applied)[4] is ProofOutcome.NOT_PROVED,
+                                _derived_atoms(program, session))
 
 
 def _rejection(applied: int, cache: _VerdictCache) -> Rejection:
@@ -247,27 +259,119 @@ def certificate_json(certificate: ExtensionCertificate) -> dict:
     return doc
 
 
+def _atoms(split) -> int:
+    """The atom mask of a split group."""
+    defs, negs, disj = split
+    mask = 0
+    for hm, bm in defs + disj:
+        mask |= hm | bm
+    for bm in negs:
+        mask |= bm
+    return mask
+
+
+def _strata(program: ClauseProgram) -> list[int]:
+    """The rule masks of the program's strata, each after every stratum it
+    depends on.
+
+    The atoms of each world clause and of each rule's consequent are joined
+    into groups.  A rule depends on itself and on every rule whose
+    consequent group holds an atom of its own consequent, prerequisite or
+    justifications; closed transitively (Warshall), `needs[i]` is every rule
+    that rule i depends on.  The strata are the strongly connected
+    components: rules that depend on each other have equal `needs`, and a
+    stratum needs strictly more rules than any stratum it depends on."""
+    n = program.n_defaults
+    groups: list[int] = []  # disjoint atom masks
+    defs, negs, disj = program.world_split
+    conclusions = [_atoms(split) for split in program.conclusion_split]
+    for mask in [hm | bm for hm, bm in defs + disj] + list(negs) + conclusions:
+        for group in [g for g in groups if g & mask]:
+            groups.remove(group)
+            mask |= group
+        if mask:
+            groups.append(mask)
+    # the consequent group of each rule, 0 for a tautology
+    owner = [next((g for g in groups if g & mask), 0) for mask in conclusions]
+    needs = []
+    for i in range(n):
+        uses = owner[i] | _atoms(program.query_groups[program.prereq_ids[i]])
+        for qid in program.justif_ids[i]:
+            uses |= _atoms(program.query_groups[qid])
+        needs.append(sum(1 << r for r in range(n) if owner[r] & uses) | 1 << i)
+    for k in range(n):
+        for i in range(n):
+            if needs[i] >> k & 1:
+                needs[i] |= needs[k]
+    strata: dict[int, int] = {}
+    for i in range(n):
+        strata[needs[i]] = strata.get(needs[i], 0) | 1 << i
+    return [m for _, _, m in sorted((r.bit_count(), m & -m, m) for r, m in strata.items())]
+
+
 def enumerate_extensions(theory: DefaultTheory,
                          budget: ProofBudget = DEFAULT_BUDGET) -> list[ExtensionCertificate]:
-    """Every extension of a small theory, one certificate each.
+    """Every extension of a theory, one certificate each, by fewest applied
+    rules and then by rule indices; at most 12 rules per stratum.
 
-    Walks all applied sets, so the rule count is capped at 12.  A candidate
-    the budget leaves undecided raises UndecidedError: it could be an
-    extension, so the list would not be complete without it.
+    A stratum's prerequisites and justifications mention only atoms of its
+    own and lower strata, and no clause of a higher stratum mentions those
+    atoms (Turner, "Splitting a default theory", AAAI 1996; Cholewinski,
+    "Reasoning with stratified default theories", LPNMR 1995).  So a
+    consistent extension's generating set, cut to strata 0..k, spans a
+    consistent theory and is the staged fixpoint of the rules of strata
+    0..k it leaves unrefuted.  The walk tries every subset of stratum k on
+    each choice kept below it, keeps those two tests pass, and `_certify`
+    decides the choices that cover every stratum.  An inconsistent
+    extension refutes every justification, so its generating set can only
+    be the staged fixpoint of the rules without one: that candidate is
+    certified on its own.  A choice or candidate the budget leaves
+    undecided raises UndecidedError naming its applied set.
     """
     program = compile_theory(theory)
-    n = program.n_defaults
-    if n > 12:
-        raise ValueError("exhaustive enumeration is limited to 12 rules, got %d" % n)
+    strata = _strata(program)
+    widest = max(strata, key=int.bit_count, default=0)
+    if widest.bit_count() > 12:
+        raise ValueError("enumeration is limited to 12 rules per stratum, got a stratum of "
+                         "%d rules: {%s}" % (widest.bit_count(),
+                                             ", ".join(map(str, sorted(_rules(widest))))))
     cache = _VerdictCache(program, budget)
     found: list[ExtensionCertificate] = []
-    for mask in range(1 << n):
-        try:
-            got = _certify(mask, cache)
-        except UndecidedError as stop:
-            raise UndecidedError("applied set {%s}: %s"
-                                 % (", ".join(map(str, sorted(_rules(mask)))), stop)) from None
-        if got is not None:
-            found.append(got)
+    lows = []  # the rules of strata 0..k
+    for stratum in strata:
+        lows.append((lows[-1] if lows else 0) | stratum)
+    # (stratum, choice below it) pairs on an explicit stack: a recursive
+    # closure would be a reference cycle that keeps the store alive
+    stack = [(0, 0)]
+    applied = 0
+    try:
+        while stack:
+            k, below = stack.pop()
+            if k == len(strata):
+                applied = below
+                got = _certify(applied, cache)
+                # only a theory without rules reaches here inconsistent
+                if got is not None and got.consistent:
+                    found.append(got)
+                continue
+            subset = 0
+            while True:  # every subset of the stratum, smallest mask first
+                applied = below | subset
+                if cache.verdicts(applied)[4] is not ProofOutcome.PROVED \
+                        and _closed(applied, lows[k], cache) is not None:
+                    stack.append((k + 1, applied))
+                if subset == strata[k]:
+                    break
+                subset = (subset - strata[k]) & strata[k]
+        # the inconsistent candidate; an undecided stage names these rules
+        applied = sum(1 << i for i, ids in enumerate(program.justif_ids) if not ids)
+        applied = _staged_fixpoint(applied, cache)[-1]
+        if cache.verdicts(applied)[4] is not ProofOutcome.NOT_PROVED:
+            got = _certify(applied, cache)
+            if got is not None:
+                found.append(got)
+    except UndecidedError as stop:
+        raise UndecidedError("applied set {%s}: %s"
+                             % (", ".join(map(str, sorted(_rules(applied)))), stop)) from None
     found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))
     return found

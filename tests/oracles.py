@@ -2,16 +2,18 @@
 alone: formula truth values, truth-table satisfiability, forward chaining
 by rescanning every one-head clause, a theory's clause groups rebuilt
 from its formulas, a candidate's clause list read straight off its
-chromosome, the penalty grid, and the tour an applied set of a
-Hamiltonian theory selects.  Clauses are (heads, body) pairs of
-atom-id masks, as `to_cnf` returns them; `refute_clauses` decides a raw
-clause list through the prover's own decision function."""
+chromosome, the penalty grid, the tour an applied set of a Hamiltonian
+theory selects, and a theory's extensions found by certifying every
+applied set.  Clauses are (heads, body) pairs of atom-id masks, as
+`to_cnf` returns them; `refute_clauses` decides a raw clause list through
+the prover's own decision function."""
 
 import itertools
 
 from gadel.formulas import And, Atom, Not, to_cnf
-from gadel.program import split_clauses, watch_index
+from gadel.program import compile_theory, split_clauses, watch_index
 from gadel.prover import DEFAULT_BUDGET, ProofBudget, ProofOutcome, _base, _decide
+from gadel.verifier import UndecidedError, _certify, _rules, _VerdictCache
 
 
 def bits(mask: int) -> list[int]:
@@ -175,3 +177,27 @@ def tour_from_applied(n_vertices: int, arcs, applied) -> list[int] | None:
     if len(tour) != n_vertices or len(hops) != n_vertices:
         return None
     return tour
+
+
+def enumerate_every_applied_set(theory, budget: ProofBudget = DEFAULT_BUDGET) -> list:
+    """Every extension of a theory of at most 12 rules, found by certifying
+    each of its 2^n applied sets: the reference `enumerate_extensions`'
+    walk over strata is checked against.  Certificates come in the same
+    order, by fewest applied rules and then by rule indices; a candidate the
+    budget leaves undecided raises UndecidedError naming its applied set."""
+    program = compile_theory(theory)
+    n = program.n_defaults
+    if n > 12:
+        raise ValueError("the applied-set oracle is capped at 12 rules, got %d" % n)
+    cache = _VerdictCache(program, budget)
+    found = []
+    for mask in range(1 << n):
+        try:
+            got = _certify(mask, cache)
+        except UndecidedError as stop:
+            raise UndecidedError("applied set {%s}: %s"
+                                 % (", ".join(map(str, sorted(_rules(mask)))), stop)) from None
+        if got is not None:
+            found.append(got)
+    found.sort(key=lambda c: (len(c.applied), tuple(sorted(c.applied))))
+    return found

@@ -18,7 +18,8 @@ from gadel.engine import (GaParams, PenaltyTable, UNIT_PENALTIES,
 from gadel.formulas import And, Atom, Not, Or, atoms_of, make_theory, tautology
 from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
-from gadel.verifier import ExtensionCertificate, enumerate_extensions, verify
+from gadel.verifier import (ExtensionCertificate, certificate_json, enumerate_extensions,
+                            verify)
 from oracles import (PENALTY_GRID, active_clauses, applied_rules, bits, raw_groups,
                      truth_table_unsat)
 
@@ -241,8 +242,13 @@ def test_criterion_4_people_benchmark():
     ok = True
     lines = []
     runs = {}
+    outside = []  # certificates missing from the complete enumeration
     for name, facts in FACT_SETS:
-        records = run_batch(build_people(facts), params, 20, name=name)
+        theory = build_people(facts)
+        complete = [certificate_json(c) for c in enumerate_extensions(theory)]
+        records = run_batch(theory, params, 20, name=name)
+        outside += [(name, r["seed"]) for r in records
+                    if r["outcome"] == "found" and r["certificate"] not in complete]
         st = batch_stats(records)
         single = "+" not in name
         good = st["found"] >= 18 and (not single or st["median_generations"] <= 30)
@@ -252,6 +258,7 @@ def test_criterion_4_people_benchmark():
                         REFERENCE_MEANS[name]))
         runs[name] = [(r["seed"], r["generations"], r["restarts"]) for r in records]
     _verdict(4, ok, "; ".join(lines))
+    assert outside == []
     assert runs == {name: [(seed, g, 0) for seed, g in enumerate(gens)]
                     for name, gens in TRAJECTORIES_4.items()}
 
@@ -260,7 +267,9 @@ def test_criterion_4_people_benchmark():
 def test_criterion_5_fast_convergence_histogram():
     params = GaParams(population_size=153, crossover_rate=0.8,
                       mutation_rate=0.1, max_generations=500, restart_after=6)
-    records = run_batch(build_people(("man",)), params, 200, name="man")
+    theory = build_people(("man",))
+    complete = [certificate_json(c) for c in enumerate_extensions(theory)]
+    records = run_batch(theory, params, 200, name="man")
     st = batch_stats(records)
     wins = [r["generations"] for r in records if r["outcome"] == "found"]
     within = sum(1 for g in wins if g <= 10)
@@ -269,6 +278,7 @@ def test_criterion_5_fast_convergence_histogram():
     detail = ("%d/200 found, %d of %d successes within 10 generations "
               "(reference: 80%% within 6)" % (st["found"], within, len(wins)))
     _verdict(5, st["found"] > 0 and within >= len(wins) / 2, detail)
+    assert all(r["certificate"] in complete for r in records if r["outcome"] == "found")
     assert [(r["seed"], r["generations"], r["restarts"]) for r in records] == [
         (seed, *TRAJECTORIES_5.get(seed, (1, 0))) for seed in range(200)]
     assert st["histogram"] == HISTOGRAM_5

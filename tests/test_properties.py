@@ -4,12 +4,15 @@ literal and compound prerequisites and justifications; watch-list
 propagation against the rescanning closure; the verifier with a verdict
 store the search filled, against a fresh store and exhaustive enumeration
 (which must raise when a candidate is undecided), on random default
-theories; fitness against the penalty grid summed rule by rule, on random
-theories and the people theory, and the mask scoring against the same sum
-on random masks; the theory text format round trip; and the command line's
-exit codes on generated input, oversized clause forms included."""
+theories; the enumeration over strata against certifying every applied
+set, on criterion 2's theories and on layered ones; fitness against the
+penalty grid summed rule by rule, on random theories and the people
+theory, and the mask scoring against the same sum on random masks; the
+theory text format round trip; and the command line's exit codes on
+generated input, oversized clause forms included."""
 
 import io
+import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -22,14 +25,16 @@ from gadel.bench import build_people
 from gadel.cli import main
 from gadel.engine import UNIT_PENALTIES, PenaltyTable, _penalty, chromosome_from_mask, fitness
 from gadel.formulas import (MAX_NESTING, And, Atom, Not, Or, conj, disj,
-                            format_theory, make_theory, parse_theory)
+                            format_theory, make_theory, parse_theory, tautology)
 from gadel.program import MAX_PROGRAM_CLAUSES, compile_theory, watch_index
 from gadel.prover import (DEFAULT_BUDGET, CandidateQuerySession, ProofBudget,
                           ProofOutcome, _propagate)
 from gadel.verifier import (ExtensionCertificate, UndecidedError, _VerdictCache,
                             enumerate_extensions, verify)
-from oracles import (active_clauses, applied_rules, chromosome_of, closure, grid_penalty,
-                     raw_groups, refute_clauses, truth_table_unsat)
+from oracles import (active_clauses, applied_rules, chromosome_of, closure,
+                     enumerate_every_applied_set, grid_penalty, raw_groups, refute_clauses,
+                     truth_table_unsat)
+from test_acceptance import _tiny_theory
 
 MAX_ATOMS = 8
 TINY = ProofBudget(max_depth=10, max_splits=2)
@@ -199,6 +204,83 @@ def test_verify_with_search_filled_store(budget, theory):
         assert certified == {c.applied for c in certs}
         # a certificate re-verifies from its own applied set alone
         assert all(verify(theory, c.applied, budget) == c for c in certs)
+
+
+def layered_theory(rng):
+    """1 to 8 rules over one to four layers of two atoms each.  A rule's
+    consequent mentions its own layer only, and its prerequisite and
+    justifications its own and lower layers, so the rules fall into several
+    strata unless the world joins layers.  Consequents may be literals,
+    clash with each other, contradict themselves or be tautologies (no
+    clause at all); many rules have no justification; one world in ten is
+    inconsistent."""
+    layers = rng.randint(1, 4)
+
+    def atom(layer):
+        return Atom("%s%d" % (rng.choice("ab"), layer))
+
+    def literal(top):
+        a = atom(rng.randint(0, top))
+        return Not(a) if rng.random() < 0.4 else a
+
+    def part(top):
+        r = rng.random()
+        if r < 0.2:
+            return Or(literal(top), literal(top))
+        if r < 0.35:
+            return And(literal(top), literal(top))
+        return literal(top)
+
+    world = [part(layers - 1) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.1:
+        clash = literal(layers - 1)
+        world += [clash, Not(clash)]
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        layer = rng.randrange(layers)
+        own = atom(layer)
+        r = rng.random()
+        if r < 0.1:
+            consequent = And(own, Not(own))
+        elif r < 0.2:
+            consequent = Or(own, Not(own))
+        else:
+            consequent = Not(own) if rng.random() < 0.4 else own
+            if rng.random() < 0.3:
+                consequent = (And if rng.random() < 0.5 else Or)(consequent, atom(layer))
+        prerequisite = tautology() if rng.random() < 0.3 else part(layer)
+        k = rng.choice((0, 0, 1, 1, 2))
+        if k == 1 and rng.random() < 0.5:
+            justifications = [consequent]  # a normal rule
+        else:
+            justifications = [part(layer) for _ in range(k)]
+        rules.append((prerequisite, justifications, consequent))
+    return make_theory(world, rules)
+
+
+def _certificates(walk, theory, budget):
+    """The walk's certificates, or None when the budget left it undecided."""
+    try:
+        return walk(theory, budget)
+    except UndecidedError:
+        return None
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
+@pytest.mark.parametrize("draw_theory", [_tiny_theory, layered_theory],
+                         ids=["criterion-2", "layered"])
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_enumeration_by_strata_matches_every_applied_set(budget, draw_theory, seed):
+    theory = draw_theory(random.Random(seed))
+    got = _certificates(enumerate_extensions, theory, budget)
+    want = _certificates(enumerate_every_applied_set, theory, budget)
+    if got is not None and want is not None:
+        assert got == want
+    if got is not None and budget is TINY:
+        # an answer the small budget let through is the complete one
+        want = _certificates(enumerate_every_applied_set, theory, DEFAULT_BUDGET)
+        assert want is None or got == want
 
 
 weights = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)

@@ -1,5 +1,6 @@
-"""Fixed-point certification and exhaustive enumeration."""
+"""Fixed-point certification and enumeration stratum by stratum."""
 
+import gc
 import itertools
 import random
 
@@ -7,14 +8,17 @@ import pytest
 
 from gadel.formulas import (And, Atom, Not, Or, make_theory, parse_theory,
                             tautology, to_cnf)
-from gadel.bench import build_hamiltonian, build_nixon, complete_arcs, two_loops_demo
+from gadel.bench import (build_hamiltonian, build_nixon, build_people, complete_arcs,
+                         two_loops_demo)
 from gadel import prover
 from gadel.program import compile_theory
 from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 from gadel import verifier
+from gadel.engine import Found, GaParams, evolve
 from gadel.verifier import (ExtensionCertificate, Rejection, UndecidedError, _rules,
                             _VerdictCache, certificate_json, enumerate_extensions, verify)
-from oracles import active_clauses, chromosome_of, truth_table_unsat
+from oracles import (active_clauses, chromosome_of, enumerate_every_applied_set,
+                     truth_table_unsat)
 
 
 def test_certificate_single_default():
@@ -125,6 +129,106 @@ def test_enumeration_rule_cap():
         enumerate_extensions(t)
 
 
+def test_enumeration_of_an_inconsistent_world_without_rules():
+    certs = enumerate_extensions(make_theory([Atom("a"), Not(Atom("a"))], []))
+    assert [(c.applied, c.consistent) for c in certs] == [(frozenset(), False)]
+
+
+def test_enumeration_of_an_inconsistent_world_with_justification_free_rules():
+    # the one extension applies the staged fixpoint of the rules without a
+    # justification: W entails every prerequisite, so rules 1 and 3 enter
+    # in one stage; rule 2 is blocked, since W refutes its justification b
+    t = parse_theory("w: a.\nw: !a.\nd: t || !t : / c.\nd: t || !t : b / d.\nd: c : / e.")
+    certs = enumerate_extensions(t)
+    assert [(c.applied, c.trace, c.consistent) for c in certs] == [
+        (frozenset({1, 3}), (frozenset(), frozenset({1, 3})), False)]
+    # a consistent W that justification-free rules make inconsistent: the
+    # stages admit rule 1, then rule 2; rule 3 is blocked
+    t = parse_theory("w: a.\nd: a : / b.\nd: b : / !a.\nd: a : c / c.")
+    certs = enumerate_extensions(t)
+    assert [(c.applied, c.trace, c.consistent) for c in certs] == [
+        (frozenset({1, 2}), (frozenset(), frozenset({1}), frozenset({1, 2})), False)]
+    assert certs == enumerate_every_applied_set(t)
+
+
+def test_enumeration_of_a_theory_without_rules():
+    certs = enumerate_extensions(make_theory([Atom("a")], []))
+    assert [(c.applied, c.trace, c.consistent, c.extension_atoms) for c in certs] == [
+        (frozenset(), (frozenset(),), True, ("a",))]
+
+
+def _diamonds(k):
+    """k independent republican/quaker clashes: rules 2i-1 and 2i clash."""
+    return parse_theory("".join("w: r%d.\nw: q%d.\nd: r%d : !p%d / !p%d.\nd: q%d : p%d / p%d.\n"
+                                % ((i,) * 8) for i in range(k)))
+
+
+def _case_split(k):
+    """k clashes whose prerequisite c(i) follows from W only by cases."""
+    return parse_theory("".join("w: a%d || b%d.\nw: !a%d || c%d.\nw: !b%d || c%d.\n"
+                                "d: c%d : d%d / d%d.\nd: c%d : !d%d / !d%d.\n" % ((i,) * 12)
+                                for i in range(k)))
+
+
+def test_enumeration_by_strata_past_12_rules():
+    # ten strata of two clashing rules each: one rule of every clash
+    every_pick = {frozenset(pick) for pick in itertools.product(*[(2 * i + 1, 2 * i + 2)
+                                                                   for i in range(10)])}
+    for theory in (_diamonds(10), _case_split(10)):
+        assert {c.applied for c in enumerate_extensions(theory)} == every_pick
+    # 400 strata of one rule each
+    chain = parse_theory("w: a0.\n" + "".join("d: a%d : a%d / a%d.\n" % (i, i + 1, i + 1)
+                                               for i in range(400)))
+    assert [c.applied for c in enumerate_extensions(chain)] == [frozenset(range(1, 401))]
+    # K4's 12 arc rules are one stratum, its 4 watchdogs another
+    certs = enumerate_extensions(build_hamiltonian(4, complete_arcs(4)))
+    assert len(certs) == 6
+    # K5's 20 arc rules are one stratum, past the cap
+    with pytest.raises(ValueError, match=r"12 rules per stratum, got a stratum of 20 rules: "
+                                         r"\{1, 2, .*, 20\}$"):
+        enumerate_extensions(build_hamiltonian(5, complete_arcs(5)))
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a walk whose frames or closures referred to themselves would keep each
+    # call's verdict store alive until the cyclic collector ran
+    theory = parse_theory("w: r.\nw: q.\nd: r : !p / !p.\nd: q : p / p.\n"
+                          "d: p : x / x.\nd: x : / y.")
+    gc.collect()
+    gc.disable()
+    try:
+        assert [c.applied for c in enumerate_extensions(theory)] == [
+            frozenset({1}), frozenset({2, 3, 4})]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+PEOPLE_FACTS = [("boy",), ("girl",), ("man",), ("woman",), ("man", "student"),
+                ("woman", "student")]
+
+
+def test_people_theories_have_one_extension():
+    # the complete answer for the 39-rule people theories, 27 strata of at
+    # most 4 rules each
+    for facts in PEOPLE_FACTS:
+        ext, = enumerate_extensions(build_people(facts))
+        assert ext.consistent
+
+
+@pytest.mark.parametrize("facts", [f if len(f) == 1 else pytest.param(f, marks=pytest.mark.slow)
+                                   for f in PEOPLE_FACTS], ids="+".join)
+def test_search_certifies_the_people_extension(facts):
+    # at the people-polish parameters, on every seed
+    theory = build_people(facts)
+    ext, = enumerate_extensions(theory)
+    program = compile_theory(theory)
+    for seed in range(5):
+        got = evolve(program, theory, GaParams(population_size=153, restart_after=6,
+                                               rng_seed=seed))
+        assert isinstance(got, Found) and got.certificate == ext
+
+
 def test_undecided_on_tiny_budget():
     t = parse_theory("w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e.")
     got = verify(t, {1}, ProofBudget(max_depth=1, max_splits=1))
@@ -141,6 +245,20 @@ def test_enumeration_raises_on_an_undecided_candidate():
     assert [c.applied for c in enumerate_extensions(t)] == [frozenset({1})]
     with pytest.raises(UndecidedError,
                        match=r"^applied set \{\}: prerequisite of rule 1 not decided"):
+        enumerate_extensions(t, ProofBudget(max_depth=100, max_splits=1))
+
+
+def test_enumeration_raises_on_an_undecided_consistency():
+    # W is inconsistent, which takes two case splits to show: with one, the
+    # consistency of the empty set, the walk's first choice, is left open,
+    # and the walk raises there rather than prune it
+    t = parse_theory("w: p || q.\nw: !p || x || y.\nw: !x || r.\nw: !y || r.\n"
+                     "w: !q || r.\nw: !r.\nd: t || !t : / a.")
+    certs = enumerate_extensions(t)
+    assert [(c.applied, c.consistent) for c in certs] == [(frozenset({1}), False)]
+    assert certs == enumerate_every_applied_set(t)
+    with pytest.raises(UndecidedError, match=r"^applied set \{\}: consistency of the "
+                                             r"candidate not decided"):
         enumerate_extensions(t, ProofBudget(max_depth=100, max_splits=1))
 
 
