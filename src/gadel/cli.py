@@ -24,34 +24,32 @@ def _parse_penalties(text: str) -> PenaltyTable:
 
 
 def _parse_indices(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(p) for p in text.split(",")]
+    try:
+        return [int(p) for p in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise ValueError("--applied wants comma-separated rule indices, got %r" % text) from None
 
 
 def _params_from_args(args) -> GaParams:
-    return GaParams(population_size=args.pop_size,
-                    crossover_rate=args.pc,
-                    mutation_rate=args.pm,
-                    max_generations=args.max_gens,
-                    restart_after=args.restart,
-                    selection_fraction=args.select_frac,
-                    rng_seed=args.seed)
+    return GaParams(**{field: getattr(args, field) for field in GaParams._fields})
 
 
 def _add_ga_arguments(ap) -> None:
-    d = GaParams._field_defaults
-    ap.add_argument("--pop-size", type=int, default=d["population_size"], help="population size")
-    ap.add_argument("--pc", type=float, default=d["crossover_rate"], help="crossover rate")
-    ap.add_argument("--pm", type=float, default=d["mutation_rate"], help="mutation rate")
-    ap.add_argument("--max-gens", type=int, default=d["max_generations"], help="generation limit")
-    ap.add_argument("--restart", type=int, default=d["restart_after"],
-                    help="restart after this many generations without a certified answer")
-    ap.add_argument("--select-frac", type=float, default=d["selection_fraction"],
-                    help="fraction of the population kept as parents")
+    def ga_flag(flag, field, kind, text):  # the GaParams field is the flag's dest
+        ap.add_argument(flag, dest=field, type=kind, default=GaParams._field_defaults[field],
+                        metavar=flag[2:].replace("-", "_").upper(), help=text)
+
+    ga_flag("--pop-size", "population_size", int, "population size")
+    ga_flag("--pc", "crossover_rate", float, "crossover rate")
+    ga_flag("--pm", "mutation_rate", float, "mutation rate")
+    ga_flag("--max-gens", "max_generations", int, "generation limit")
+    ga_flag("--restart", "restart_after", int,
+            "restart after this many generations without a certified answer")
+    ga_flag("--select-frac", "selection_fraction", float,
+            "fraction of the population kept as parents")
     ap.add_argument("--penalties", default=None, metavar="p2,p3,p4,p5,p9,p13",
                     help="six positive finite penalty weights (default: all 1)")
-    ap.add_argument("--seed", type=int, default=d["rng_seed"], help="RNG seed")
+    ga_flag("--seed", "rng_seed", int, "RNG seed")
 
 
 def _csv_row(record: dict) -> str:
@@ -85,6 +83,8 @@ def cmd_solve(args) -> int:
         print("extension found in %d generations (%d restarts, %.0f ms)"
               % (record["generations"], record["restarts"], record["wall_ms"]))
         print("applied defaults: %s" % (cert["applied"] or "(none)"))
+        if not cert["consistent"]:
+            print("the extension is inconsistent: it entails every formula")
         if "extension_atoms" in cert:
             print("extension atoms: %s" % (cert["extension_atoms"] or "(none)"))
         if record["zero_fitness_rejected"]:
@@ -115,10 +115,12 @@ def _read_arcs(path: str) -> list[tuple[int, int]]:
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        fields = body.split()
-        if len(fields) != 2:
-            raise ValueError("edges file line %d: expected 'u v', got %r" % (lineno, line))
-        arcs.append((int(fields[0]), int(fields[1])))
+        try:
+            u, v = map(int, body.split())
+        except ValueError:
+            raise ValueError("edges file line %d: expected two integer vertices 'u v', got %r"
+                             % (lineno, line)) from None
+        arcs.append((u, v))
     return arcs
 
 

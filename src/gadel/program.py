@@ -18,7 +18,8 @@ Selecting groups at query time replaces re-normalizing formulas for every
 applied set the search evaluates.  A clause is a (heads, body) pair of
 atom-id masks from `to_cnf`.  Every group is split once, at compile time,
 into the lists of masks the prover reads, and only that split form is
-kept.
+kept; past the prover, only `rule_strata` reads it, to split the rules
+into the strata `verifier.enumerate_extensions` walks.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ class ClauseProgram:
     split alike share an id, so an atom's entailment may share the id of a
     prerequisite or justification; prerequisite and justification groups
     come first.  The one-head clauses of the world and of each consequent
-    are indexed for forward chaining: world_watch, and conclusion_watch
-    keyed by rule index, holding only the consequents that have a one-head
-    clause with a body.
+    are indexed for forward chaining: world_watch indexes the world's, and
+    watched_rules is the rule mask (bit i-1 for rule i) of the consequents
+    with a one-head clause with a body, whose sessions index their own.
     Nothing changes after compile_theory returns the program, so runs may
     share it.
     """
@@ -85,8 +86,8 @@ class ClauseProgram:
         self.world_split = split_clauses(world)
         self.conclusion_split = [split_clauses(g) for g in conclusion]
         self.world_watch = watch_index(self.world_split[0])
-        self.conclusion_watch = {i: w for i, g in enumerate(self.conclusion_split, 1)
-                                 if (w := watch_index(g[0]))}
+        self.watched_rules = sum(1 << i for i, g in enumerate(self.conclusion_split)
+                                 if any(bm for _hb, bm in g[0]))
         # every query's split group, each distinct one once
         ids: dict[tuple, int] = {}
 
@@ -126,3 +127,51 @@ def compile_theory(theory: DefaultTheory) -> ClauseProgram:
     justif = [[ordered(to_cnf(beta, table)) for beta in d.justifications]
               for d in theory.defaults]
     return ClauseProgram(theory, world, conclusion, prereq, justif)
+
+
+def _split_atoms(split) -> int:
+    """The atom mask of a split group."""
+    defs, negs, disj = split
+    mask = 0
+    for m in negs + tuple([hm | bm for hm, bm in defs + disj]):
+        mask |= m
+    return mask
+
+
+def rule_strata(program: ClauseProgram) -> list[int]:
+    """The rule masks of the program's strata, each after every stratum it
+    depends on.
+
+    The atoms of each world clause and of each rule's consequent are joined
+    into groups.  A rule depends on itself and on every rule whose
+    consequent group holds an atom of its own consequent, prerequisite or
+    justifications; closed transitively (Warshall), `needs[i]` is every rule
+    that rule i depends on.  The strata are the strongly connected
+    components: rules that depend on each other have equal `needs`, and a
+    stratum needs strictly more rules than any stratum it depends on."""
+    n = program.n_defaults
+    groups: list[int] = []  # disjoint atom masks
+    defs, negs, disj = program.world_split
+    conclusions = [_split_atoms(split) for split in program.conclusion_split]
+    for mask in [hm | bm for hm, bm in defs + disj] + list(negs) + conclusions:
+        for group in [g for g in groups if g & mask]:
+            groups.remove(group)
+            mask |= group
+        if mask:
+            groups.append(mask)
+    # the consequent group of each rule, 0 for a tautology
+    owner = [next((g for g in groups if g & mask), 0) for mask in conclusions]
+    needs = []
+    for i in range(n):
+        uses = owner[i] | _split_atoms(program.query_groups[program.prereq_ids[i]])
+        for qid in program.justif_ids[i]:
+            uses |= _split_atoms(program.query_groups[qid])
+        needs.append(sum(1 << r for r in range(n) if owner[r] & uses) | 1 << i)
+    for k in range(n):
+        for i in range(n):
+            if needs[i] >> k & 1:
+                needs[i] |= needs[k]
+    strata: dict[int, int] = {}
+    for i in range(n):
+        strata[needs[i]] = strata.get(needs[i], 0) | 1 << i
+    return [m for _, _, m in sorted((r.bit_count(), m & -m, m) for r, m in strata.items())]

@@ -23,9 +23,9 @@ list: no recursion, no process-wide state.
 
 Every closure is computed by propagation over watch lists (Dowling &
 Gallier, J. Logic Programming 1, 1984).  The compiled program lists each
-one-head clause with a body under every atom of that body, per group
-(`program.watch_index`), and a session merges the lists of the world and
-its applied consequents.  A closure always starts from a set already
+one-head clause of the world with a body under every atom of that body
+(`program.watch_index`); a session whose applied consequents add such
+clauses indexes its own.  A closure always starts from a set already
 closed under those clauses plus some new atoms: the facts from nothing,
 the over-approximation from the closure plus the disjunctive heads, a
 query's closure from the base closure, and a model-generation child from
@@ -43,7 +43,8 @@ candidate by overlaying one of the program's interned query groups
 group for consistency, or "<- a" for the entailment of atom a.  Every
 clause reaches the prover as a (heads, body) pair of atom-id masks from
 `to_cnf`, sorted into one-head clauses, constraints and disjunctive
-clauses by `program.split_clauses`.
+clauses by `program.split_clauses`.  A session opens on the applied rules
+as a rule mask, bit i-1 for rule i.
 
 A session decides each query group at most once and keeps the answer.
 That is exact: a decision depends only on the candidate, the group and
@@ -64,7 +65,7 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .program import ClauseProgram
+from .program import ClauseProgram, watch_index
 
 
 class ProofOutcome(enum.Enum):
@@ -242,27 +243,25 @@ def _decide(base, qdefs, qnegs, qdisj, budget: ProofBudget) -> ProofOutcome:
 class CandidateQuerySession:
     """Shared forward-chaining state for many queries on one candidate.
 
-    The candidate theory (W plus applied consequents) is fixed, so its
-    split groups, closure and over-approximated closure are gathered once,
-    and each query only overlays its own small split group.
+    The candidate theory, W plus the consequents of the rule mask
+    `applied` (bit i-1 for rule i), is fixed, so its split groups, closure
+    and over-approximated closure are gathered once, and each query only
+    overlays its own small split group.
     """
 
-    def __init__(self, program: ClauseProgram, applied, budget: ProofBudget = DEFAULT_BUDGET):
+    def __init__(self, program: ClauseProgram, applied: int, budget: ProofBudget = DEFAULT_BUDGET):
         self.program = program
         self.budget = budget
         defs, negs, disj = [list(g) for g in program.world_split]
-        for i in sorted(applied):
-            gd, gn, gj = program.conclusion_split[i - 1]
+        own_watch = applied and applied & program.watched_rules  # else share the world's index
+        while applied:  # consequent groups in ascending rule order
+            low = applied & -applied
+            applied ^= low
+            gd, gn, gj = program.conclusion_split[low.bit_length() - 1]
             defs.extend(gd)
             negs.extend(gn)
             disj.extend(gj)
-        watch = program.world_watch
-        merged = program.conclusion_watch.keys() & applied
-        if merged:  # a copy, so that the program's indexes stay as compiled
-            watch = dict(watch)
-            for i in merged:
-                for b, clauses in program.conclusion_watch[i].items():
-                    watch[b] = watch.get(b, ()) + clauses
+        watch = watch_index(defs) if own_watch else program.world_watch
         self._base = _base(defs, negs, disj, watch)
         # forward chaining alone refutes the candidate: every query is PROVED
         self.chained_inconsistent = self._base[7]

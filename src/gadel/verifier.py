@@ -19,22 +19,21 @@ deduplication.
 
 `verify` takes the applied set as 1-based rule indices, the form of a
 certificate and of a rejection's text.  Inside, an applied set, a stage
-included, is a rule mask with bit i-1 for rule i; it becomes a set of
-indices again only to open a prover session.  `_VerdictCache` is the one
-store of prover verdicts, keyed by that mask.  The theory an applied set
-spans, and so every answer about it, depends only on that set (and the
-program and budget).  A row holds three rule masks (prerequisite proved,
-prerequisite left undecided by the budget, some justification refuted),
-the (rule, justification) pairs left undecided before a rule's first
-refuted justification, and the consistency outcome, all from one session;
-when forward chaining alone shows the theory inconsistent, every query is
-PROVED and the row is filled from masks without asking one.  The search
-scores a candidate from the row of its applied set and reads the same row
-to tell whether that set is consistent; the staged closure admits rules
-from its stages' rows, and the stages of many candidates pass through the
-same few sets.  A stored row is what a fresh session gives, budget
-exhaustion included, so sharing it changes no score, certificate or
-rejection.
+included, is a rule mask with bit i-1 for rule i, as a prover session
+takes it.  `_VerdictCache` is the one store of prover verdicts, keyed by
+that mask.  The theory an applied set spans, and so every answer about
+it, depends only on that set (and the program and budget).  A row holds
+three rule masks (prerequisite proved, prerequisite left undecided by the
+budget, some justification refuted), the (rule, justification) pairs left
+undecided before a rule's first refuted justification, and the
+consistency outcome, all from one session; when forward chaining alone
+shows the theory inconsistent, every query is PROVED and the row is
+filled from masks without asking one.  The search scores a candidate from
+the row of its applied set and reads the same row to tell whether that
+set is consistent; the staged closure admits rules from its stages' rows,
+and the stages of many candidates pass through the same few sets.  A
+stored row is what a fresh session gives, budget exhaustion included, so
+sharing it changes no score, certificate or rejection.
 
 `_certify` decides an applied set: a certificate, None for no extension,
 or UndecidedError when the budget leaves an answer it needs open.  It
@@ -56,7 +55,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .formulas import DefaultTheory
-from .program import ClauseProgram, compile_theory
+from .program import ClauseProgram, compile_theory, rule_strata
 from .prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, ProofOutcome
 
 # applied: frozenset of rule indices; trace: tuple of such sets, one per
@@ -97,7 +96,7 @@ class _VerdictCache:
         undecided before a rule's first refuted justification."""
         row = self.store.get(applied)
         if row is None:
-            session = CandidateQuerySession(self.program, _rules(applied), self.budget)
+            session = CandidateQuerySession(self.program, applied, self.budget)
             if session.chained_inconsistent:
                 row = self.inconsistent_row
             else:
@@ -210,7 +209,7 @@ def _certify(applied: int, cache: _VerdictCache) -> ExtensionCertificate | None:
     trace = _closed(applied, (1 << program.n_defaults) - 1, cache)
     if trace is None:
         return None
-    session = CandidateQuerySession(program, _rules(applied), cache.budget)
+    session = CandidateQuerySession(program, applied, cache.budget)
     return ExtensionCertificate(_rules(applied), tuple([_rules(s) for s in trace]), True,
                                 cache.verdicts(applied)[4] is ProofOutcome.NOT_PROVED,
                                 _derived_atoms(program, session))
@@ -259,56 +258,6 @@ def certificate_json(certificate: ExtensionCertificate) -> dict:
     return doc
 
 
-def _atoms(split) -> int:
-    """The atom mask of a split group."""
-    defs, negs, disj = split
-    mask = 0
-    for hm, bm in defs + disj:
-        mask |= hm | bm
-    for bm in negs:
-        mask |= bm
-    return mask
-
-
-def _strata(program: ClauseProgram) -> list[int]:
-    """The rule masks of the program's strata, each after every stratum it
-    depends on.
-
-    The atoms of each world clause and of each rule's consequent are joined
-    into groups.  A rule depends on itself and on every rule whose
-    consequent group holds an atom of its own consequent, prerequisite or
-    justifications; closed transitively (Warshall), `needs[i]` is every rule
-    that rule i depends on.  The strata are the strongly connected
-    components: rules that depend on each other have equal `needs`, and a
-    stratum needs strictly more rules than any stratum it depends on."""
-    n = program.n_defaults
-    groups: list[int] = []  # disjoint atom masks
-    defs, negs, disj = program.world_split
-    conclusions = [_atoms(split) for split in program.conclusion_split]
-    for mask in [hm | bm for hm, bm in defs + disj] + list(negs) + conclusions:
-        for group in [g for g in groups if g & mask]:
-            groups.remove(group)
-            mask |= group
-        if mask:
-            groups.append(mask)
-    # the consequent group of each rule, 0 for a tautology
-    owner = [next((g for g in groups if g & mask), 0) for mask in conclusions]
-    needs = []
-    for i in range(n):
-        uses = owner[i] | _atoms(program.query_groups[program.prereq_ids[i]])
-        for qid in program.justif_ids[i]:
-            uses |= _atoms(program.query_groups[qid])
-        needs.append(sum(1 << r for r in range(n) if owner[r] & uses) | 1 << i)
-    for k in range(n):
-        for i in range(n):
-            if needs[i] >> k & 1:
-                needs[i] |= needs[k]
-    strata: dict[int, int] = {}
-    for i in range(n):
-        strata[needs[i]] = strata.get(needs[i], 0) | 1 << i
-    return [m for _, _, m in sorted((r.bit_count(), m & -m, m) for r, m in strata.items())]
-
-
 def enumerate_extensions(theory: DefaultTheory,
                          budget: ProofBudget = DEFAULT_BUDGET) -> list[ExtensionCertificate]:
     """Every extension of a theory, one certificate each, by fewest applied
@@ -329,7 +278,7 @@ def enumerate_extensions(theory: DefaultTheory,
     undecided raises UndecidedError naming its applied set.
     """
     program = compile_theory(theory)
-    strata = _strata(program)
+    strata = rule_strata(program)
     widest = max(strata, key=int.bit_count, default=0)
     if widest.bit_count() > 12:
         raise ValueError("enumeration is limited to 12 rules per stratum, got a stratum of "

@@ -97,6 +97,11 @@ def applied_rules(chromosome) -> frozenset[int]:
                      if tuple(chromosome[2 * i - 2:2 * i]) == (1, 0))
 
 
+def rule_mask(applied) -> int:
+    """Rule mask of 1-based rule indices: bit i-1 is rule i."""
+    return sum(1 << (i - 1) for i in applied)
+
+
 def chromosome_of(n: int, applied) -> tuple[int, ...]:
     """n gene pairs, (1, 0) on the rule indices of applied and (0, 0) elsewhere."""
     return tuple(b for i in range(1, n + 1) for b in ((1, 0) if i in applied else (0, 0)))

@@ -21,7 +21,7 @@ from gadel.prover import DEFAULT_BUDGET, CandidateQuerySession, ProofBudget, Pro
 from gadel.verifier import (ExtensionCertificate, certificate_json, enumerate_extensions,
                             verify)
 from oracles import (PENALTY_GRID, active_clauses, applied_rules, bits, raw_groups,
-                     truth_table_unsat)
+                     rule_mask, truth_table_unsat)
 
 WIDE = ProofBudget(max_depth=200_000, max_splits=4096)
 
@@ -84,7 +84,7 @@ def test_criterion_1_prover_matches_oracle():
         total += 1
         if any(len(bits(hm)) >= 2 for hm, _bm in active):
             with_split += 1
-        session = CandidateQuerySession(program, applied_rules(chrom), WIDE)
+        session = CandidateQuerySession(program, rule_mask(applied_rules(chrom)), WIDE)
         got = session.answer(qid)
         if got is ProofOutcome.BUDGET_EXHAUSTED:
             hits += 1

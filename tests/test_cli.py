@@ -71,6 +71,17 @@ def test_solve_reports_failure(tmp_path, capsys):
     assert "no certified extension within 3 generations" in out
 
 
+def test_solve_says_when_the_extension_is_inconsistent(tmp_path, capsys):
+    path = tmp_path / "clash.dt"
+    path.write_text("w: a.\nw: !a.\n")
+    assert main(["solve", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "extension found in" in out
+    assert "the extension is inconsistent" in out
+    assert main(["solve", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["consistent"] is False
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf"])
 def test_non_finite_penalty_is_a_usage_error(nixon_file, capsys, weight):
     code = main(["solve", nixon_file, "--penalties", "1,1,1,1,1," + weight])
@@ -139,6 +150,14 @@ def test_check_rejects_bad_index(nixon_file, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["1,,2", "1,b", "2.0"])
+def test_check_rejects_a_malformed_index_list(nixon_file, capsys, text):
+    assert main(["check", nixon_file, "--applied", text]) == 2
+    err = capsys.readouterr().err
+    assert "--applied wants comma-separated rule indices, got %r" % text in err
+    assert "invalid literal" not in err
+
+
 def test_gen_people_round_trip(tmp_path, capsys):
     out_path = tmp_path / "people.dt"
     code = main(["gen", "people", "--facts", "man,student", "-o", str(out_path)])
@@ -172,6 +191,15 @@ def test_gen_ham_bad_edges_line(tmp_path, capsys):
     edges.write_text("1 2\n2 3 4\n")
     assert main(["gen", "ham", "--vertices", "3", "--edges", str(edges)]) == 2
     assert "edges file line 2" in capsys.readouterr().err
+
+
+def test_gen_ham_non_integer_vertex(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("1 2\n# a comment\nw: a.\n")
+    assert main(["gen", "ham", "--vertices", "3", "--edges", str(edges)]) == 2
+    err = capsys.readouterr().err
+    assert "edges file line 3: expected two integer vertices 'u v', got 'w: a.'" in err
+    assert "invalid literal" not in err
 
 
 def test_oversized_hamiltonian_is_a_usage_error(tmp_path, capsys):

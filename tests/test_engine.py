@@ -166,7 +166,8 @@ def test_fitness_report_applied():
     # justification left undecided, and the candidate {a, c} consistent, as a
     # fresh session says
     assert cache.verdicts(rep.applied) == (0b01, 0, 0b10, (), ProofOutcome.NOT_PROVED)
-    assert cache.verdicts(rep.applied)[4] is CandidateQuerySession(prog, {1}).answer(prog.consistency_id)
+    fresh = CandidateQuerySession(prog, rep.applied)
+    assert cache.verdicts(rep.applied)[4] is fresh.answer(prog.consistency_id)
     assert fitness(prog, (0, 1, 1, 0), _cache=cache).applied == 0b10
 
 

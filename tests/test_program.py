@@ -6,7 +6,8 @@ import pytest
 
 from gadel.formulas import Not, parse_theory, to_cnf
 from gadel.engine import chromosome_from_mask, gene_masks
-from gadel.program import compile_theory, split_clauses
+from gadel.bench import build_hamiltonian, build_nixon, build_people, complete_arcs
+from gadel.program import compile_theory, rule_strata, split_clauses
 from oracles import active_clauses, bits, chromosome_of, raw_groups
 
 
@@ -152,3 +153,18 @@ def test_query_groups_are_interned():
     assert split_clauses(justif[0][1]) == program.query_groups[program.atom_ids[2]]  # !r
     for i in range(th.n_defaults):
         assert program.query_groups[program.prereq_ids[i]] == split_clauses(prereq[i])
+
+
+def test_rule_strata():
+    # each stratum after every stratum it depends on, by how many rules it
+    # needs and then by its lowest rule: rule 2 reads rule 1's consequent r,
+    # rule 4 rule 3's p, and the tautology of rule 5 stands alone; the two
+    # Nixon rules share the atom pacifist
+    th = parse_theory("w: q.\nd: q : r / r.\nd: r : !r / s.\nd: q : / p.\n"
+                      "d: p : x / x.\nd: q : / q || !q.\n")
+    assert rule_strata(compile_theory(th)) == [0b00001, 0b00100, 0b10000, 0b00010, 0b01000]
+    assert rule_strata(compile_theory(build_nixon())) == [0b11]
+    people = rule_strata(compile_theory(build_people(["man", "student"])))
+    assert len(people) == 27 and max(m.bit_count() for m in people) == 4
+    k5 = rule_strata(compile_theory(build_hamiltonian(5, complete_arcs(5))))
+    assert k5 == [(1 << 20) - 1, ((1 << 5) - 1) << 20]

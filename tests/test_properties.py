@@ -33,7 +33,7 @@ from gadel.verifier import (ExtensionCertificate, UndecidedError, _VerdictCache,
                             enumerate_extensions, verify)
 from oracles import (active_clauses, applied_rules, chromosome_of, closure,
                      enumerate_every_applied_set, grid_penalty, raw_groups, refute_clauses,
-                     truth_table_unsat)
+                     rule_mask, truth_table_unsat)
 from test_acceptance import _tiny_theory
 
 MAX_ATOMS = 8
@@ -68,7 +68,7 @@ def clause_programs(draw):
 def test_session_matches_reference_and_truth_table(budget, case):
     # the consistency group and every atom's entailment group
     theory, program, applied = case
-    session = CandidateQuerySession(program, applied, budget)
+    session = CandidateQuerySession(program, rule_mask(applied), budget)
     base = active_clauses(theory, chromosome_of(program.n_defaults, applied))
     queries = [(session.answer(program.consistency_id), base)]
     for aid, qid in enumerate(program.atom_ids):
@@ -121,7 +121,7 @@ def test_rule_queries_match_reference_in_any_order(budget, case, data):
     n = program.n_defaults
     _world, _conclusion, prereq, justif = raw_groups(theory)
     queries = [(i, j) for i in range(1, n + 1) for j in range(len(justif[i - 1]) + 1)]
-    session = CandidateQuerySession(program, applied, budget)
+    session = CandidateQuerySession(program, rule_mask(applied), budget)
     base = active_clauses(theory, chromosome_of(n, applied))
     for i, j in data.draw(st.permutations(queries * 2)):
         if j:
@@ -174,11 +174,19 @@ def test_propagation_matches_the_rescanning_closure(defs, qdefs, seed, new):
 # prerequisite, one more than TINY allows
 THREE_SPLITS = parse_theory("w: p || q.\nw: !p || x || y.\nw: !x || u || v.\nw: !u || r.\n"
                             "w: !v || r.\nw: !y || r.\nw: !q || r.\nd: r : s / s.")
+# under w1, refuting rule 2's justification s takes those three splits, so
+# at TINY the sets with rule 1 are undecided; rule 1 alone is a stratum
+# whose prerequisite p1 never holds, so the walk prunes them on decided
+# answers and still finds the one extension {2}
+GUARDED_SPLITS = parse_theory("w: !w1 || p || q.\nw: !p || x || y.\nw: !x || u || v.\n"
+                              "w: !u || r.\nw: !v || r.\nw: !y || r.\nw: !q || r.\n"
+                              "w: !r || !s.\nd: p1 : / w1.\nd: t || !t : s / z.")
 
 
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, TINY], ids=["default", "tiny"])
 @given(theory=default_theories())
 @example(theory=THREE_SPLITS)
+@example(theory=GUARDED_SPLITS)
 def test_verify_with_search_filled_store(budget, theory):
     program = compile_theory(theory)
     n = program.n_defaults
@@ -186,24 +194,30 @@ def test_verify_with_search_filled_store(budget, theory):
     for bits in range(1 << 2 * n):  # every chromosome, as the search would score it
         chrom = tuple(bits >> k & 1 for k in range(2 * n))
         fitness(program, chrom, budget=budget, _cache=store)
-    certified = set()
-    undecided = False
+    certified, undecided = set(), set()
     for mask in range(1 << n):
         applied = frozenset(i + 1 for i in range(n) if mask >> i & 1)
         got = verify(theory, applied, _cache=store)
         assert got == verify(theory, applied, _cache=_VerdictCache(program, budget))
         if isinstance(got, ExtensionCertificate):
             certified.add(got.applied)
-        else:
-            undecided = undecided or got.reason == "undecided"
-    if undecided:  # the enumeration cannot be complete, and says so
-        with pytest.raises(UndecidedError):
-            enumerate_extensions(theory, budget)
-    else:
+        elif got.reason == "undecided":
+            undecided.add(applied)
+    # the walk over strata asks only about sets it has not pruned on decided
+    # answers below them, so an undecided set need not stop it; when nothing
+    # is undecided it is complete
+    try:
         certs = enumerate_extensions(theory, budget)
-        assert certified == {c.applied for c in certs}
+    except UndecidedError:
+        assert undecided
+    else:
+        assert certified <= {c.applied for c in certs} <= certified | undecided
         # a certificate re-verifies from its own applied set alone
         assert all(verify(theory, c.applied, budget) == c for c in certs)
+        try:
+            assert certs == enumerate_every_applied_set(theory, budget)
+        except UndecidedError:
+            assert undecided
 
 
 def layered_theory(rng):
@@ -291,7 +305,7 @@ PEOPLE = compile_theory(build_people(["man", "student"]))
 def pair_penalty_sum(program, chromosome, table):
     """The rule-order sum of the penalty grid over the chromosome's gene
     pairs, with each rule's verdicts asked of a fresh session."""
-    session = CandidateQuerySession(program, applied_rules(chromosome))
+    session = CandidateQuerySession(program, rule_mask(applied_rules(chromosome)))
     total = 0.0
     for i in range(1, program.n_defaults + 1):
         proved = session.answer(program.prereq_ids[i - 1]) is ProofOutcome.PROVED

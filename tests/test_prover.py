@@ -129,8 +129,8 @@ def test_prereq_and_justification_queries():
     # W={a}, D={ a:b/c , c:!a/d }
     th = parse_theory("w: a.\nd: a : b / c.\nd: c : !a / d.\n")
     program = compile_theory(th)
-    nothing = CandidateQuerySession(program, frozenset())
-    first = CandidateQuerySession(program, frozenset((1,)))
+    nothing = CandidateQuerySession(program, 0)
+    first = CandidateQuerySession(program, 0b1)
     prereq, justif = program.prereq_ids, program.justif_ids
     assert nothing.answer(prereq[0]) is ProofOutcome.PROVED
     assert nothing.answer(prereq[1]) is ProofOutcome.NOT_PROVED
@@ -145,13 +145,46 @@ def test_prereq_and_justification_queries():
                                                        "d": False}
 
 
+def test_session_opens_on_a_rule_mask():
+    # bit i-1 is rule i; any falsy value, frozenset() included, opens the
+    # session of W alone, and a set of rule indices is refused
+    th = parse_theory("w: a.\nd: a : b / c.\nd: c : !a / d.\n")
+    program = compile_theory(th)
+    for nothing in (0, frozenset()):
+        session = CandidateQuerySession(program, nothing)
+        assert session.answer(program.prereq_ids[1]) is ProofOutcome.NOT_PROVED
+    assert CandidateQuerySession(program, 0b01).answer(program.prereq_ids[1]) \
+        is ProofOutcome.PROVED
+    with pytest.raises(TypeError):
+        CandidateQuerySession(program, frozenset((1,)))
+
+
+def test_consequent_with_a_chaining_clause_indexes_its_own_session():
+    # rule 1's consequent !c || e is a one-head clause with a body, so only a
+    # session applying rule 1 builds its own watch index; the others share
+    # the world's, and the program's index stays as compiled
+    th = parse_theory("w: a.\nw: !b || f.\nd: a : / !c || e.\nd: a : / c.\nd: a : / b.\n")
+    program = compile_theory(th)
+    assert program.watched_rules == 0b001
+    world_watch = dict(program.world_watch)
+    e = program.atom_ids[program.atom_names.index("e")]
+    f = program.atom_ids[program.atom_names.index("f")]
+    for applied, e_holds in [(0b011, True), (0b010, False), (0b001, False), (0b111, True)]:
+        session = CandidateQuerySession(program, applied)
+        assert session.answer(e) is (ProofOutcome.PROVED if e_holds else ProofOutcome.NOT_PROVED)
+        assert session.answer(f) is (ProofOutcome.PROVED if applied & 0b100
+                                     else ProofOutcome.NOT_PROVED)
+        assert (session._base[3] is program.world_watch) == (not applied & 0b001)
+    assert program.world_watch == world_watch
+
+
 def test_inconsistent_candidate_answers_without_closure(monkeypatch):
     # W = {a, !a} fires a constraint by forward chaining alone, so every
     # query is PROVED before its group (the unit clause b of justification
     # b, the constraint <- a of prerequisite a) is closed over
     th = parse_theory("w: a.\nw: !a.\nd: a : b / c.\n")
     program = compile_theory(th)
-    session = CandidateQuerySession(program, frozenset())
+    session = CandidateQuerySession(program, 0)
     calls = []
     propagate = prover._propagate
 
@@ -171,7 +204,7 @@ def test_shared_query_group_is_decided_once(monkeypatch):
     # distinct groups reach _decide once each per session
     th = parse_theory("w: a.\nd: a : b / c.\nd: a : !c / d.\nd: c : b / e.\n")
     program = compile_theory(th)
-    session = CandidateQuerySession(program, frozenset((1,)))
+    session = CandidateQuerySession(program, 0b1)
     prereq, justif = program.prereq_ids, program.justif_ids
     decided = []
     decide = prover._decide
@@ -216,7 +249,7 @@ FLAG_CASES = [
 def test_closure_flag_paths_match_reference(text, query, want):
     theory = parse_theory(text)
     program = compile_theory(theory)
-    session = CandidateQuerySession(program, frozenset())
+    session = CandidateQuerySession(program, 0)
     world, _conclusion, prereq, justif = raw_groups(theory)
     if query == "j":
         got, group = session.answer(program.justif_ids[0][0]), justif[0][0]

@@ -17,7 +17,7 @@ from gadel import verifier
 from gadel.engine import Found, GaParams, evolve
 from gadel.verifier import (ExtensionCertificate, Rejection, UndecidedError, _rules,
                             _VerdictCache, certificate_json, enumerate_extensions, verify)
-from oracles import (active_clauses, chromosome_of, enumerate_every_applied_set,
+from oracles import (active_clauses, chromosome_of, enumerate_every_applied_set, rule_mask,
                      truth_table_unsat)
 
 
@@ -365,9 +365,10 @@ CASE_SPLIT = "w: a || b.\nw: !a || c.\nw: !b || c.\nd: c : d / e."
 
 def fresh_row(program, applied, budget):
     """(proved, exhausted, refuted, undecided, consistency) asked of a new
-    session, rule by rule; a rule's justifications are asked until one is
-    refuted, the undecided ones before it are listed as (rule,
-    justification), and consistency is asked last."""
+    session on the rule mask `applied`, rule by rule; a rule's
+    justifications are asked until one is refuted, the undecided ones
+    before it are listed as (rule, justification), and consistency is
+    asked last."""
     session = CandidateQuerySession(program, applied, budget)
     proved = exhausted = refuted = 0
     undecided = []
@@ -410,7 +411,7 @@ def test_shared_stage_verdicts_change_no_answer(budget):
             reasons.add(getattr(shared, "reason", "certified"))
         # each stored row is what a fresh session on its applied set answers
         for stage, row in cache.store.items():
-            assert row == fresh_row(prog, _rules(stage), budget)
+            assert row == fresh_row(prog, stage, budget)
             exhausted |= row[1]
     assert {"certified", "missing-applicable", "ungrounded"} <= reasons
     if budget.max_splits == 1:
@@ -455,11 +456,11 @@ def test_inconsistent_row_is_filled_from_masks(budget, monkeypatch):
     for theory, applied, refuted in [(w_theory, set(), 0b01),
                                      (k5, {1, 2, 6, 12, 13, 20}, (1 << 25) - 1)]:
         prog = compile_theory(theory)
-        assert CandidateQuerySession(prog, applied, budget).chained_inconsistent
-        want = fresh_row(prog, applied, budget)
+        mask = rule_mask(applied)
+        assert CandidateQuerySession(prog, mask, budget).chained_inconsistent
+        want = fresh_row(prog, mask, budget)
         asked = []
         monkeypatch.setattr(prover, "_decide", lambda *args: asked.append(args))
-        mask = sum(1 << (i - 1) for i in applied)
         got = _VerdictCache(prog, budget).verdicts(mask)
         monkeypatch.undo()
         assert asked == []
@@ -492,7 +493,7 @@ def test_verify_reads_the_candidate_row_from_the_store(monkeypatch):
         prog = compile_theory(theory)
         store = _VerdictCache(prog, budget)
         want = verify(theory, applied, _cache=store)
-        store.verdicts(sum(1 << (i - 1) for i in applied))
+        store.verdicts(rule_mask(applied))
         opened = []
         monkeypatch.setattr(verifier, "CandidateQuerySession",
                             lambda *args: opened.append(args) or CandidateQuerySession(*args))
